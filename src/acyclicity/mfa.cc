@@ -1,12 +1,12 @@
 #include "acyclicity/mfa.h"
 
 #include <algorithm>
-#include <functional>
 #include <set>
 #include <utility>
 
 #include "base/status.h"
 #include "chase/instance.h"
+#include "chase/join_cursor.h"
 #include "logic/atom.h"
 #include "logic/schema.h"
 #include "logic/term.h"
@@ -55,56 +55,13 @@ bool ContainsTag(const TagSet& set, uint32_t tag) {
   return std::binary_search(set.begin(), set.end(), tag);
 }
 
-// Backtracking enumeration of all homomorphisms from `tgd`'s body into
-// `instance`, invoking `on_match` with the variable assignment. Assignment
-// slots for unbound variables hold kUnbound.
-// Sentinel for unbound assignment slots; null ids are allocated sequentially
-// from zero, so this value can never denote a real term.
-constexpr Term kUnbound = ~Term{0};
-
-void MatchBody(const Instance& instance, const Tgd& tgd, size_t atom_index,
-               std::vector<Term>* assignment,
-               const std::function<void(const std::vector<Term>&)>& on_match) {
-  if (atom_index == tgd.body().size()) {
-    on_match(*assignment);
-    return;
-  }
-  const RuleAtom& atom = tgd.body()[atom_index];
-  for (const GroundAtom& candidate : instance.AtomsOf(atom.pred)) {
-    // Unify candidate with atom under the current partial assignment.
-    std::vector<std::pair<VarId, Term>> bound;
-    bool ok = true;
-    for (size_t i = 0; i < atom.args.size(); ++i) {
-      const VarId var = atom.args[i];
-      const Term term = candidate.args[i];
-      if ((*assignment)[var] == kUnbound) {
-        (*assignment)[var] = term;
-        bound.emplace_back(var, term);
-      } else if ((*assignment)[var] != term) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      MatchBody(instance, tgd, atom_index + 1, assignment, on_match);
-    }
-    for (const auto& [var, term] : bound) (*assignment)[var] = kUnbound;
-  }
-}
-
 }  // namespace
 
 StatusOr<bool> IsModelFaithfulAcyclic(const Schema& schema,
                                       const std::vector<Tgd>& tgds,
                                       const MfaOptions& options,
                                       MfaStats* stats) {
-  for (const Tgd& tgd : tgds) {
-    for (const RuleAtom& atom : tgd.body()) {
-      if (atom.pred >= schema.NumPredicates()) {
-        return InvalidArgumentError("TGD uses a predicate not in the schema");
-      }
-    }
-  }
+  CHASE_RETURN_IF_ERROR(CheckTgdsFitSchema(tgds, schema));
   const TagTable tags(tgds);
 
   // The critical instance: one all-star fact per predicate. The star is
@@ -115,6 +72,17 @@ StatusOr<bool> IsModelFaithfulAcyclic(const Schema& schema,
         pred, std::vector<Term>(schema.Arity(pred), MakeConstant(0))));
   }
 
+  // Body join plans, declared once: AddAtom keeps the indexes current.
+  std::vector<std::vector<uint32_t>> body_ids;
+  for (const Tgd& tgd : tgds) {
+    body_ids.push_back(PlanJoin(tgd.body(),
+                                std::vector<char>(tgd.num_vars(), 0),
+                                [&](PredId pred, std::vector<uint32_t> cols) {
+                                  return instance.DeclareIndex(pred,
+                                                               std::move(cols));
+                                }));
+  }
+
   // Provenance of every null: its own invention tag plus the ancestry of the
   // nulls its frontier binding contained (tag included).
   std::vector<TagSet> null_ancestry;
@@ -123,59 +91,61 @@ StatusOr<bool> IsModelFaithfulAcyclic(const Schema& schema,
   // binding).
   std::set<std::pair<uint32_t, std::vector<Term>>> fired;
 
+  JoinCursor cursor;
+  std::vector<JoinCursor::Window> windows;
   bool cyclic = false;
   bool changed = true;
   while (changed && !cyclic) {
     changed = false;
     for (uint32_t r = 0; r < tgds.size() && !cyclic; ++r) {
       const Tgd& tgd = tgds[r];
-      std::vector<Term> assignment(tgd.num_vars(), kUnbound);
-      // Collect new triggers first: mutating the instance mid-enumeration
-      // would invalidate the AtomsOf spans MatchBody iterates.
-      std::vector<std::vector<Term>> pending;
-      MatchBody(instance, tgd, 0, &assignment,
-                [&](const std::vector<Term>& full) {
-                  std::vector<Term> frontier_binding;
-                  frontier_binding.reserve(tgd.frontier().size());
-                  for (VarId x : tgd.frontier()) {
-                    frontier_binding.push_back(full[x]);
-                  }
-                  if (fired.emplace(r, std::move(frontier_binding)).second) {
-                    pending.push_back(full);
-                  }
-                });
-      for (const std::vector<Term>& full : pending) {
+      // Match against the instance as of the rule's turn: triggers fire as
+      // they are found, but their atoms lie past the windows.
+      windows.clear();
+      for (const RuleAtom& atom : tgd.body()) {
+        windows.push_back({0, instance.AtomsOf(atom.pred).size()});
+      }
+      cursor.Reset(instance, instance.indexes(), tgd.body(), body_ids[r],
+                   windows, tgd.num_vars());
+      while (!cyclic && cursor.Next()) {
+        std::vector<Term>& h = cursor.h();
+        std::vector<Term> frontier_binding;
+        frontier_binding.reserve(tgd.frontier().size());
+        for (VarId x : tgd.frontier()) frontier_binding.push_back(h[x]);
+        if (!fired.emplace(r, std::move(frontier_binding)).second) continue;
         if (stats != nullptr) ++stats->triggers_fired;
         // Ancestry of the invented nulls: union over the frontier image.
         TagSet ancestry;
         for (VarId x : tgd.frontier()) {
-          if (IsNull(full[x])) {
-            ancestry = UnionTagSets(ancestry, null_ancestry[NullId(full[x])]);
+          if (IsNull(h[x])) {
+            ancestry = UnionTagSets(ancestry, null_ancestry[NullId(h[x])]);
           }
         }
-        // Extend the assignment with fresh nulls for the existentials.
-        std::vector<Term> extended = full;
-        for (VarId z = tgd.num_universal(); z < tgd.num_vars(); ++z) {
+        // Fresh nulls for the existentials, bound in the cursor's
+        // assignment just long enough to build the head atoms.
+        for (VarId z = tgd.num_universal(); z < tgd.num_vars() && !cyclic;
+             ++z) {
           const uint32_t tag = tags.TagOf(r, tgd, z);
           if (ContainsTag(ancestry, tag)) {
             cyclic = true;  // a (σ, z)-null descends from a (σ, z)-null
             break;
           }
           const uint64_t null_id = instance.NewNullId();
-          TagSet with_self = UnionTagSets(ancestry, {tag});
-          null_ancestry.push_back(std::move(with_self));
+          null_ancestry.push_back(UnionTagSets(ancestry, {tag}));
           if (stats != nullptr) ++stats->nulls_created;
-          extended[z] = MakeNull(null_id);
+          h[z] = MakeNull(null_id);
         }
-        if (cyclic) break;
-        for (const RuleAtom& head_atom : tgd.head()) {
-          std::vector<Term> args;
-          args.reserve(head_atom.args.size());
-          for (VarId v : head_atom.args) args.push_back(extended[v]);
-          if (instance.AddAtom(GroundAtom(head_atom.pred, std::move(args)))) {
-            changed = true;
+        if (!cyclic) {
+          for (const RuleAtom& head_atom : tgd.head()) {
+            std::vector<Term> args;
+            args.reserve(head_atom.args.size());
+            for (VarId v : head_atom.args) args.push_back(h[v]);
+            if (instance.AddAtom(GroundAtom(head_atom.pred, std::move(args)))) {
+              changed = true;
+            }
           }
         }
+        std::fill(h.begin() + tgd.num_universal(), h.end(), kUnboundTerm);
         if (instance.NumAtoms() > options.max_atoms) {
           return ResourceExhaustedError(
               "MFA critical chase exceeded max_atoms");

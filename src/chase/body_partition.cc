@@ -59,6 +59,7 @@ std::vector<BodyPartition> PlanBodyPartitions(const std::vector<Tgd>& tgds,
                                               const RoundView& view,
                                               unsigned threads) {
   const uint64_t num_threads = std::max(1u, threads);
+  const bool split = threads > 1;
   // Pass 1: the round's total estimated cost, to size the grain — the same
   // few-fragments-per-worker discipline as FrontierChunkSize, but weighted
   // by estimated join cost instead of row count.
@@ -99,7 +100,7 @@ std::vector<BodyPartition> PlanBodyPartitions(const std::vector<Tgd>& tgds,
       // ~4·threads such rows fit in `total`, and the per-row fragment
       // count is capped at 4·threads besides.
       uint64_t sub = 0;
-      if (inner > grain && body_size > 1 && r1.size() > 1) {
+      if (split && inner > grain && body_size > 1 && r1.size() > 1) {
         sub = inner / grain + (inner % grain != 0 ? 1 : 0);
         sub = std::min<uint64_t>({sub, r1.size(), 4 * num_threads});
       }
@@ -113,8 +114,10 @@ std::vector<BodyPartition> PlanBodyPartitions(const std::vector<Tgd>& tgds,
           }
         }
       } else {
-        const size_t rows_per = static_cast<size_t>(
-            std::max<uint64_t>(1, grain / std::max<uint64_t>(1, inner)));
+        const size_t rows_per =
+            split ? static_cast<size_t>(std::max<uint64_t>(
+                        1, grain / std::max<uint64_t>(1, inner)))
+                  : r0.size();
         for (size_t b0 = r0.begin; b0 < r0.end; b0 += rows_per) {
           parts.push_back({static_cast<uint32_t>(rule),
                            static_cast<uint32_t>(delta_pos), b0,
@@ -126,76 +129,24 @@ std::vector<BodyPartition> PlanBodyPartitions(const std::vector<Tgd>& tgds,
   return parts;
 }
 
-void HomEnumerator::Reset(const Tgd* tgd, const Instance* instance,
-                          const RoundView* view, const BodyPartition& part) {
-  tgd_ = tgd;
-  instance_ = instance;
-  view_ = view;
-  part_ = part;
+void HomEnumerator::Reset(const Tgd* tgd, std::span<const uint32_t> body_ids,
+                          const Instance* instance, const RoundView* view,
+                          const BodyPartition& part) {
   const size_t n = tgd->body().size();
-  h_.assign(tgd->num_vars(), kUnboundTerm);
-  trail_.clear();
-  row_.assign(n, 0);
-  mark_.assign(n, 0);
-  depth_ = 0;
-  row_[0] = part.begin0;
-  at_hom_ = false;
-  done_ = false;
-}
-
-HomEnumerator::Range HomEnumerator::RangeOf(size_t pos) const {
-  if (pos == 0) return {part_.begin0, part_.end0};
-  if (pos == 1) return {part_.begin1, part_.end1};
-  const PredId pred = tgd_->body()[pos].pred;
-  if (pos == part_.delta_pos) return {view_->PrevOf(pred), view_->CurOf(pred)};
-  if (pos < part_.delta_pos) return {0, view_->PrevOf(pred)};
-  return {0, view_->CurOf(pred)};
-}
-
-bool HomEnumerator::Next() {
-  if (done_) return false;
-  const auto& body = tgd_->body();
-  const size_t n = body.size();
-  if (at_hom_) {
-    // Step off the homomorphism emitted last time: unbind the deepest
-    // position and advance its cursor.
-    at_hom_ = false;
-    depth_ = n - 1;
-    UndoBindings(h_, trail_, mark_[depth_]);
-    ++row_[depth_];
+  windows_.resize(n);
+  windows_[0] = {part.begin0, part.end0};
+  for (size_t pos = 1; pos < n; ++pos) {
+    const Range r = CandidateRange(*tgd, *view, part.delta_pos, pos);
+    windows_[pos] = {r.begin, r.end};
   }
-  while (true) {
-    const Range range = RangeOf(depth_);
-    bool descended = false;
-    while (row_[depth_] < range.end) {
-      mark_[depth_] = trail_.size();
-      // Re-fetch the atom vector on every access: serial applies between
-      // resume epochs may reallocate it. Rows below the round window — the
-      // only rows any range reaches — are stable.
-      if (TryBindAtom(body[depth_],
-                      instance_->AtomsOf(body[depth_].pred)[row_[depth_]], h_,
-                      trail_)) {
-        ++depth_;
-        if (depth_ == n) {
-          at_hom_ = true;
-          return true;
-        }
-        row_[depth_] = RangeOf(depth_).begin;
-        descended = true;
-        break;
-      }
-      ++row_[depth_];
-    }
-    if (descended) continue;
-    // This depth's range is exhausted: backtrack, or finish at the root.
-    if (depth_ == 0) {
-      done_ = true;
-      return false;
-    }
-    --depth_;
-    UndoBindings(h_, trail_, mark_[depth_]);
-    ++row_[depth_];
+  if (n > 1) {
+    // A join-split fragment after the first under its pinned row probes
+    // that row again; the serial stream probes it once.
+    if (part.begin1 != windows_[1].begin) ++repeated_root_probes_;
+    windows_[1] = {part.begin1, part.end1};
   }
+  cursor_.Reset(*instance, instance->indexes(), tgd->body(), body_ids,
+                windows_, tgd->num_vars());
 }
 
 }  // namespace chase

@@ -3,10 +3,12 @@
 // rounds).
 //
 // The serial engine enumerates the triggers of a round by streaming, for
-// each rule and each delta position d, a nested-loop join over the body
-// atoms: position 0 is the outermost loop, each position's candidate rows
-// are a contiguous range fixed by the round window (delta rows at d, the
-// previous-rounds prefix before d, the full round-start prefix after d).
+// each rule and each delta position d, a join over the body atoms
+// (chase/join_cursor.h): position 0 is the outermost loop, each position's
+// candidate rows are a contiguous range fixed by the round window (delta
+// rows at d, the previous-rounds prefix before d, the full round-start
+// prefix after d), visited in ascending order whether scanned or narrowed
+// by a posting index.
 // Parallelizing that stream without giving up the bit-identical-result
 // contract hinges on one property: the serial order is the lexicographic
 // order of (rule, delta position, row at position 0, row at position 1, …).
@@ -32,59 +34,31 @@
 // exceeds the grain, and at most ~4·threads such rows fit in the round's
 // total cost, so fragment counts stay O(tasks + threads²).
 //
-// HomEnumerator is the resumable cursor over one fragment: a paused
-// iterative backtracking search (per-position row cursors + binding trail)
-// that Next() advances one homomorphism at a time. The chase's budgeted
-// enumerate→pause→apply→resume protocol (WorkerPool::RunBudgetedTasks)
-// leans on Next() being stoppable anywhere: a worker fills a bounded
-// buffer, parks, and later resumes from the exact backtracking state.
+// HomEnumerator is the resumable cursor over one fragment: a JoinCursor —
+// a paused iterative backtracking search (per-position row cursors +
+// binding trail) that Next() advances one homomorphism at a time — whose
+// windows are the fragment's ranges. The serial round runs it over one
+// whole-range fragment per task, so both paths share it. The chase's
+// budgeted enumerate→pause→apply→resume protocol
+// (WorkerPool::RunBudgetedTasks) leans on Next() being stoppable anywhere:
+// a worker fills a bounded buffer, parks, and later resumes from the exact
+// backtracking state.
 
 #ifndef CHASE_CHASE_BODY_PARTITION_H_
 #define CHASE_CHASE_BODY_PARTITION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "chase/instance.h"
+#include "chase/join_cursor.h"
 #include "logic/atom.h"
 #include "logic/schema.h"
 #include "logic/term.h"
 #include "logic/tgd.h"
 
 namespace chase {
-
-inline constexpr Term kUnboundTerm = ~uint64_t{0};
-
-// Attempts to extend `h` so that `pattern` maps onto `atom`; records newly
-// bound variables in `trail` so the caller can undo. Shared by the serial
-// streaming enumeration, HeadSatisfied, and HomEnumerator — one binding
-// discipline, so the paths cannot diverge.
-inline bool TryBindAtom(const RuleAtom& pattern, const GroundAtom& atom,
-                        std::vector<Term>& h, std::vector<VarId>& trail) {
-  const size_t undo_mark = trail.size();
-  for (size_t i = 0; i < pattern.args.size(); ++i) {
-    const VarId var = pattern.args[i];
-    if (h[var] == kUnboundTerm) {
-      h[var] = atom.args[i];
-      trail.push_back(var);
-    } else if (h[var] != atom.args[i]) {
-      while (trail.size() > undo_mark) {
-        h[trail.back()] = kUnboundTerm;
-        trail.pop_back();
-      }
-      return false;
-    }
-  }
-  return true;
-}
-
-inline void UndoBindings(std::vector<Term>& h, std::vector<VarId>& trail,
-                         size_t mark) {
-  while (trail.size() > mark) {
-    h[trail.back()] = kUnboundTerm;
-    trail.pop_back();
-  }
-}
 
 // Per-round visibility window: body atoms are matched against the instance
 // as of the start of the round ("cur"), with semi-naive deltas given by
@@ -116,64 +90,58 @@ struct BodyPartition {
 
 // Plans the round's fragments in canonical (rule, delta_pos, begin0,
 // begin1) order — exactly the serial streaming order of their outputs.
-// Tasks with an empty delta produce no fragment. Depends only on `tgds`,
-// the round window, and `threads` (never on instance contents or
-// scheduling), so the plan itself is deterministic.
+// Tasks where some position has no candidate row produce no fragment;
+// threads <= 1 plans one whole-range fragment per remaining task (the
+// serial round). Depends only on `tgds`, the round window, and `threads`
+// (never on instance contents or scheduling), so the plan itself is
+// deterministic.
 std::vector<BodyPartition> PlanBodyPartitions(const std::vector<Tgd>& tgds,
                                               const RoundView& view,
                                               unsigned threads);
 
-// The resumable enumeration cursor over one fragment. Usage:
+// The resumable enumeration cursor over one fragment: a JoinCursor over
+// the rule body whose position windows are the fragment's ranges. Usage:
 //
 //   HomEnumerator e;
-//   e.Reset(&tgd, &instance, &view, part);
+//   e.Reset(&tgd, body_ids, &instance, &view, part);
 //   while (e.Next()) consume(e.hom());   // pausable between any two calls
 //
 // Next() returns true with hom() bound on all universal variables (the
 // fragment's next homomorphism in streaming order), false when the fragment
-// is exhausted. The full backtracking state — partial assignment, binding
-// trail, per-position row cursors — lives in the enumerator, so a paused
-// fragment resumes with zero re-enumeration.
-//
-// Concurrency: Next() only reads instance rows below the fragment's fixed
-// round-window bounds, and re-fetches the per-predicate atom vector on
-// every access, so serial appends *between* resume epochs (which may
-// reallocate those vectors) are safe as long as the caller orders them
-// before the next resume — which the worker pool's barrier does.
-//
-// hom() is mutable on purpose: the restricted variant's pre-filter
-// transiently binds existential variables during its satisfaction probe and
-// restores them through its own trail before returning.
+// is exhausted. `body_ids` is the rule body's PlanJoin over `instance`'s
+// indexes. Windows never reach past the round-start watermark, so appends
+// between resume epochs are invisible to the enumeration (see JoinCursor
+// for why they are safe).
 class HomEnumerator {
  public:
-  void Reset(const Tgd* tgd, const Instance* instance, const RoundView* view,
+  void Reset(const Tgd* tgd, std::span<const uint32_t> body_ids,
+             const Instance* instance, const RoundView* view,
              const BodyPartition& part);
 
   // Advances to the fragment's next homomorphism. False once exhausted
   // (then stays false).
-  bool Next();
+  bool Next() {
+    if (!cursor_.Next()) return false;
+    ++homs_;
+    return true;
+  }
 
-  std::vector<Term>& hom() { return h_; }
+  const std::vector<Term>& hom() { return cursor_.h(); }
+
+  // Work done since construction, over every Reset: candidate rows probed
+  // and homomorphisms emitted. A join-split fragment other than the first
+  // under its pinned position-0 row does not count that row's probe, so
+  // the fragments of a task sum to exactly the serial whole-range count.
+  uint64_t rows_probed() const {
+    return cursor_.rows_probed() - repeated_root_probes_;
+  }
+  uint64_t homs() const { return homs_; }
 
  private:
-  struct Range {
-    size_t begin;
-    size_t end;
-  };
-  Range RangeOf(size_t pos) const;
-
-  const Tgd* tgd_ = nullptr;
-  const Instance* instance_ = nullptr;
-  const RoundView* view_ = nullptr;
-  BodyPartition part_;
-
-  std::vector<Term> h_;        // partial assignment, kUnboundTerm = free
-  std::vector<VarId> trail_;   // bound-variable undo log
-  std::vector<size_t> row_;    // per-position candidate-row cursor
-  std::vector<size_t> mark_;   // per-position trail watermark
-  size_t depth_ = 0;           // position currently being advanced
-  bool at_hom_ = false;        // paused on an emitted homomorphism
-  bool done_ = true;
+  JoinCursor cursor_;
+  std::vector<JoinCursor::Window> windows_;
+  uint64_t homs_ = 0;
+  uint64_t repeated_root_probes_ = 0;
 };
 
 }  // namespace chase

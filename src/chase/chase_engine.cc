@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <optional>
 #include <span>
 #include <unordered_set>
@@ -10,6 +11,7 @@
 #include "base/status.h"
 #include "chase/body_partition.h"
 #include "chase/instance.h"
+#include "chase/join_cursor.h"
 #include "exec/frontier_pool.h"
 #include "index/sharded_shape_index.h"
 #include "io/binary_io.h"
@@ -25,11 +27,8 @@
 namespace chase {
 namespace {
 
-// The binding discipline (TryBindAtom/UndoBindings/kUnboundTerm) and the
-// round window (RoundView) live in chase/body_partition.h, shared with the
-// parallel fragment enumerator so the serial and parallel paths cannot
-// drift apart.
 constexpr Term kUnbound = kUnboundTerm;
+using Window = JoinCursor::Window;
 
 // Trigger keys: [rule_index, bound values...]. For the oblivious chase the
 // values are the full body assignment; for the semi-oblivious chase only the
@@ -47,133 +46,68 @@ struct KeyHash {
 };
 using KeySet = std::unordered_set<std::vector<uint64_t>, KeyHash>;
 
-// Enumerates the body homomorphisms of `tgd` whose atom at `delta_pos` is
-// drawn from delta rows [delta_begin, delta_end); calls `fn(h)` with h
-// bound on all universal variables. Only rows below the round-start
-// watermark (view.cur) are ever read, so the enumeration is independent of
-// atoms applied during the round — which is what lets the parallel path
-// below enumerate a whole round's triggers concurrently before applying
-// any of them.
-template <typename Fn>
-void ForEachDeltaHom(const Tgd& tgd, const Instance& instance,
-                     const RoundView& view, size_t delta_pos,
-                     size_t delta_begin, size_t delta_end,
-                     std::vector<Term>& h, std::vector<VarId>& trail,
-                     Fn&& fn) {
-  const auto& body = tgd.body();
-  // Backtracking over body atoms with per-position candidate ranges.
-  auto recurse = [&](auto&& self, size_t index) -> void {
-    if (index == body.size()) {
-      fn(h);
-      return;
-    }
-    const PredId pred = body[index].pred;
-    size_t begin = 0;
-    size_t end = view.CurOf(pred);
-    if (index == delta_pos) {
-      begin = delta_begin;
-      end = delta_end;
-    } else if (index < delta_pos) {
-      end = view.PrevOf(pred);
-    }
-    for (size_t row = begin; row < end; ++row) {
-      const size_t mark = trail.size();
-      // Re-fetch per iteration: `fn` may grow the instance, reallocating
-      // the per-predicate atom vector.
-      if (TryBindAtom(body[index], instance.AtomsOf(pred)[row], h, trail)) {
-        self(self, index + 1);
-        UndoBindings(h, trail, mark);
-      }
-    }
-  };
-  recurse(recurse, 0);
-}
+// One rule's join plans (PlanJoin index ids): the body with nothing bound
+// up front, and the head with the frontier bound.
+struct RulePlan {
+  std::vector<uint32_t> body;
+  std::vector<uint32_t> head;
+};
 
-// Enumerates every body homomorphism of `tgd` into the round-start instance
-// that uses at least one delta atom. Each such trigger is enumerated
-// exactly once: the delta position is the first body atom matched to a
-// delta atom.
-template <typename Fn>
-void ForEachNewBodyHom(const Tgd& tgd, const Instance& instance,
-                       const RoundView& view, std::vector<Term>& h,
-                       std::vector<VarId>& trail, Fn&& fn) {
-  for (size_t delta_pos = 0; delta_pos < tgd.body().size(); ++delta_pos) {
-    const PredId pred = tgd.body()[delta_pos].pred;
-    ForEachDeltaHom(tgd, instance, view, delta_pos, view.PrevOf(pred),
-                    view.CurOf(pred), h, trail, fn);
+RulePlan PlanRule(
+    const Tgd& tgd, bool with_head,
+    const std::function<uint32_t(PredId, std::vector<uint32_t>)>& declare) {
+  RulePlan plan;
+  plan.body = PlanJoin(tgd.body(), std::vector<char>(tgd.num_vars(), 0),
+                       declare);
+  if (with_head) {
+    std::vector<char> frontier(tgd.num_vars(), 0);
+    for (VarId var : tgd.frontier()) frontier[var] = 1;
+    plan.head = PlanJoin(tgd.head(), std::move(frontier), declare);
   }
+  return plan;
 }
 
-// True iff some extension of the frontier assignment `h` maps every head
-// atom into `instance` (the restricted chase's satisfaction test). `h` must
-// be sized tgd.num_vars() with existential variables unbound. When `view`
-// is non-null, only rows below the round-start watermark are read — the
-// conservative pre-filter the parallel restricted path evaluates on the
-// worker pool: satisfaction is monotone (atoms are never removed), so a
-// head satisfied by the frozen prefix is satisfied at apply time too, and
-// only the survivors re-check against the full instance serially.
-bool HeadSatisfied(const Tgd& tgd, const Instance& instance,
-                   const RoundView* view, std::vector<Term>& h,
-                   std::vector<VarId>& trail) {
-  const auto& head = tgd.head();
-  auto recurse = [&](auto&& self, size_t index) -> bool {
-    if (index == head.size()) return true;
-    const std::span<const GroundAtom> all(instance.AtomsOf(head[index].pred));
-    const std::span<const GroundAtom> atoms =
-        view == nullptr
-            ? all
-            : all.first(std::min(all.size(),
-                                 static_cast<size_t>(
-                                     view->CurOf(head[index].pred))));
-    for (const GroundAtom& atom : atoms) {
-      const size_t mark = trail.size();
-      if (TryBindAtom(head[index], atom, h, trail)) {
-        if (self(self, index + 1)) {
-          UndoBindings(h, trail, mark);
-          return true;
-        }
-        UndoBindings(h, trail, mark);
-      }
-    }
-    return false;
-  };
-  return recurse(recurse, 0);
+// True iff some extension of `hom`'s frontier maps every head atom into
+// `instance`, head position k matched within windows[k] — the restricted
+// chase's satisfaction test. Existential variables of `hom` are ignored.
+bool HeadSatisfied(JoinCursor& cursor, const Tgd& tgd,
+                   std::span<const uint32_t> head_ids, const Instance& instance,
+                   const IndexSet& indexes, const std::vector<Term>& hom,
+                   std::span<const Window> windows) {
+  cursor.Reset(instance, indexes, tgd.head(), head_ids, windows,
+               tgd.num_vars());
+  std::copy_n(hom.begin(), tgd.num_universal(), cursor.h().begin());
+  return cursor.Next();
 }
 
-// The suffix re-check for pre-filter survivors: the workers already proved
-// no witness lives entirely in the round-start prefix (rows below
-// view.cur), and atoms are never removed, so the head is satisfied by the
-// full instance iff some witness uses at least one same-round atom — i.e.
-// iff for some head position d there is a match with position d restricted
-// to the suffix [view.cur, size) and every other position unrestricted.
-// Positions whose predicate has not grown this round are skipped outright;
-// if nothing relevant grew, the head is unsatisfied without touching a
-// single atom. Equivalent to HeadSatisfied(full instance) for survivors,
-// but scans only witnesses the workers could not have seen.
-bool HeadSatisfiedSuffix(const Tgd& tgd, const Instance& instance,
-                         const RoundView& view, std::vector<Term>& h,
-                         std::vector<VarId>& trail) {
+// The restricted chase's firing test: true iff some extension of `hom`'s
+// frontier maps head(σ) into the instance as it stands, atoms applied
+// earlier in this round included. A pre-filter survivor (`prefix_unsat`)
+// has no witness inside the round-start prefix, and atoms are never
+// removed, so its witnesses must use a same-round atom at some head
+// position d: each grown d is probed over its suffix only.
+bool RestrictedHeadSatisfied(JoinCursor& cursor, std::vector<Window>& windows,
+                             const Tgd& tgd, std::span<const uint32_t> head_ids,
+                             const Instance& instance, const RoundView& view,
+                             const std::vector<Term>& hom, bool prefix_unsat) {
   const auto& head = tgd.head();
+  windows.resize(head.size());
+  for (size_t k = 0; k < head.size(); ++k) {
+    windows[k] = {0, instance.AtomsOf(head[k].pred).size()};
+  }
+  if (!prefix_unsat) {
+    return HeadSatisfied(cursor, tgd, head_ids, instance, instance.indexes(),
+                         hom, windows);
+  }
   for (size_t d = 0; d < head.size(); ++d) {
-    const size_t suffix_begin = view.CurOf(head[d].pred);
-    if (instance.AtomsOf(head[d].pred).size() <= suffix_begin) continue;
-    auto recurse = [&](auto&& self, size_t index) -> bool {
-      if (index == head.size()) return true;
-      const auto& atoms = instance.AtomsOf(head[index].pred);
-      for (size_t row = index == d ? suffix_begin : 0; row < atoms.size();
-           ++row) {
-        const size_t mark = trail.size();
-        if (TryBindAtom(head[index], atoms[row], h, trail)) {
-          if (self(self, index + 1)) {
-            UndoBindings(h, trail, mark);
-            return true;
-          }
-          UndoBindings(h, trail, mark);
-        }
-      }
-      return false;
-    };
-    if (recurse(recurse, 0)) return true;
+    const Window all = windows[d];
+    windows[d].begin = view.CurOf(head[d].pred);
+    if (windows[d].begin < all.end &&
+        HeadSatisfied(cursor, tgd, head_ids, instance, instance.indexes(), hom,
+                      windows)) {
+      return true;
+    }
+    windows[d] = all;
   }
   return false;
 }
@@ -210,13 +144,7 @@ StatusOr<ChaseResult> RunChase(const Database& database,
                                const std::vector<Tgd>& tgds,
                                const ChaseOptions& options) {
   const Schema& schema = database.schema();
-  for (const Tgd& tgd : tgds) {
-    for (const RuleAtom& atom : tgd.body()) {
-      if (atom.pred >= schema.NumPredicates()) {
-        return InvalidArgumentError("TGD uses a predicate not in the schema");
-      }
-    }
-  }
+  CHASE_RETURN_IF_ERROR(CheckTgdsFitSchema(tgds, schema));
 
   if (options.checkpoint_path.empty() &&
       (options.checkpoint_every_rounds != 0 || options.checkpoint_on_signal)) {
@@ -304,9 +232,26 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     result.peak_buffered_homs = ckpt.peak_buffered_homs;
   }
 
-  std::vector<Term> h;
-  std::vector<VarId> trail;
   std::vector<GroundAtom> pending;  // atoms produced in the current round
+  const bool restricted = options.variant == ChaseVariant::kRestricted;
+
+  // Every join column set is declared here, once the instance is in place:
+  // the indexes are maintained write-through by AddAtom from now on, so
+  // no enumeration below ever creates or extends one.
+  std::vector<RulePlan> plans;
+  plans.reserve(tgds.size());
+  for (const Tgd& tgd : tgds) {
+    plans.push_back(PlanRule(tgd, restricted,
+                             [&](PredId pred, std::vector<uint32_t> cols) {
+                               return instance.DeclareIndex(pred,
+                                                            std::move(cols));
+                             }));
+  }
+  // The serial round's cursors, and the head windows of the restricted
+  // satisfaction probes.
+  HomEnumerator serial_enum;
+  JoinCursor head_cursor;
+  std::vector<Window> head_windows;
 
   // Parallel rounds run on any rule set, linear or not: each round's
   // homomorphism space is split into range fragments whose canonical
@@ -322,7 +267,6 @@ StatusOr<ChaseResult> RunChase(const Database& database,
   // survivors re-check serially in exact firing order — against the
   // same-round suffix only, the one part the workers could not see.
   const unsigned enum_threads = std::max(1u, options.frontier_threads);
-  const bool restricted = options.variant == ChaseVariant::kRestricted;
   // The pool is spawned once here and reused by every wave of every round
   // below through its generation barrier — per-round thread spawn cost was
   // exactly what dominated shallow-but-many-round workloads.
@@ -417,20 +361,17 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     // this thread. `prefix_unsat` marks a restricted trigger whose head
     // the parallel pre-filter already proved unsatisfied by the
     // round-start prefix, so only same-round witnesses remain to check.
-    auto fire = [&](size_t rule, std::vector<Term>& hom, bool prefix_unsat) {
+    auto fire = [&](size_t rule, const std::vector<Term>& hom,
+                    bool prefix_unsat) {
       const Tgd& tgd = tgds[rule];
       if (hit_atom_limit) return;
       // Decide whether this trigger fires.
-      if (options.variant == ChaseVariant::kRestricted) {
-        // Only the frontier restriction matters for satisfaction;
-        // existentials are unbound here by construction.
-        std::vector<VarId> head_trail;
-        const bool satisfied =
-            prefix_unsat
-                ? HeadSatisfiedSuffix(tgd, instance, view, hom, head_trail)
-                : HeadSatisfied(tgd, instance, /*view=*/nullptr, hom,
-                                head_trail);
-        if (satisfied) return;
+      if (restricted) {
+        if (RestrictedHeadSatisfied(head_cursor, head_windows, tgd,
+                                    plans[rule].head, instance, view, hom,
+                                    prefix_unsat)) {
+          return;
+        }
       } else {
         std::vector<uint64_t> key;
         if (options.variant == ChaseVariant::kSemiOblivious) {
@@ -497,16 +438,17 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     };
 
     if (enum_threads <= 1) {
-      for (size_t rule = 0; rule < tgds.size() && !hit_atom_limit; ++rule) {
-        const Tgd& tgd = tgds[rule];
+      // One whole-range fragment per (rule, delta position) task, in the
+      // canonical order the parallel fragments concatenate back into.
+      for (const BodyPartition& part : PlanBodyPartitions(tgds, view, 1)) {
+        if (hit_atom_limit) break;
         obs::TraceSpan rule_span("chase", "rule", "rule",
-                                 static_cast<int64_t>(rule));
-        h.assign(tgd.num_vars(), kUnbound);
-        trail.clear();
-        ForEachNewBodyHom(tgd, instance, view, h, trail,
-                          [&](std::vector<Term>& hom) {
-                            fire(rule, hom, /*prefix_unsat=*/false);
-                          });
+                                 static_cast<int64_t>(part.rule));
+        serial_enum.Reset(&tgds[part.rule], plans[part.rule].body, &instance,
+                          &view, part);
+        while (!hit_atom_limit && serial_enum.Next()) {
+          fire(part.rule, serial_enum.hom(), /*prefix_unsat=*/false);
+        }
       }
     } else {
       // Frontier-parallel round: enumerate every trigger of the round
@@ -531,9 +473,11 @@ StatusOr<ChaseResult> RunChase(const Database& database,
       // its head satisfied by the round-start prefix already — decided on
       // the workers, skipped for good on the serial drain below.
       std::vector<std::vector<char>> presat(parts.size());
+      std::vector<JoinCursor> worker_heads(restricted ? enum_threads : 0);
+      std::vector<std::vector<Window>> worker_windows(worker_heads.size());
       pool->RunBudgetedTasks(
           parts.size(),
-          [&](unsigned /*worker*/, size_t t) -> bool {
+          [&](unsigned worker, size_t t) -> bool {
             // One span per resume slice of a (rule, delta)-fragment's
             // homomorphism enumeration — the per-task view of a wave.
             obs::TraceSpan task_span("chase", "hom_task", "rule",
@@ -542,15 +486,25 @@ StatusOr<ChaseResult> RunChase(const Database& database,
             const Tgd& tgd = tgds[parts[t].rule];
             HomEnumerator& e = enums[t];
             if (started[t] == 0) {
-              e.Reset(&tgd, &instance, &view, parts[t]);
+              e.Reset(&tgd, plans[parts[t].rule].body, &instance, &view,
+                      parts[t]);
               started[t] = 1;
+            }
+            if (restricted) {
+              // The pre-filter reads only the round-start prefix.
+              std::vector<Window>& windows = worker_windows[worker];
+              windows.clear();
+              for (const RuleAtom& atom : tgd.head()) {
+                windows.push_back({0, view.CurOf(atom.pred)});
+              }
             }
             while (homs[t].size() < budget) {
               if (!e.Next()) return true;  // fragment exhausted
               if (restricted) {
-                std::vector<VarId> head_trail;
-                presat[t].push_back(
-                    HeadSatisfied(tgd, instance, &view, e.hom(), head_trail));
+                presat[t].push_back(HeadSatisfied(
+                    worker_heads[worker], tgd, plans[parts[t].rule].head,
+                    instance, instance.indexes(), e.hom(),
+                    worker_windows[worker]));
               }
               homs[t].push_back(e.hom());
             }
@@ -583,6 +537,10 @@ StatusOr<ChaseResult> RunChase(const Database& database,
             result.peak_buffered_homs =
                 std::max(result.peak_buffered_homs, buffered);
           });
+      for (const HomEnumerator& e : enums) {
+        result.body_rows_probed += e.rows_probed();
+        result.body_homs += e.homs();
+      }
     }
 
     ++result.rounds;
@@ -629,6 +587,8 @@ StatusOr<ChaseResult> RunChase(const Database& database,
       }
     }
   }
+  result.body_rows_probed += serial_enum.rows_probed();
+  result.body_homs += serial_enum.homs();
   // Mirror the run's result counters into the registry so `--metrics`
   // surfaces them without the caller plumbing ChaseResult around.
   obs::SetGauge("chase.rounds", static_cast<double>(result.rounds));
@@ -638,35 +598,45 @@ StatusOr<ChaseResult> RunChase(const Database& database,
                 static_cast<double>(result.triggers_prefiltered));
   obs::SetGauge("chase.peak_buffered_homs",
                 static_cast<double>(result.peak_buffered_homs));
+  obs::SetGauge("chase.body_rows_probed",
+                static_cast<double>(result.body_rows_probed));
+  obs::SetGauge("chase.body_homs", static_cast<double>(result.body_homs));
   obs::SetGauge("chase.atoms", static_cast<double>(instance.NumAtoms()));
   obs::SetGauge("chase.nulls", static_cast<double>(instance.NumNulls()));
   return result;
 }
 
 bool Satisfies(const Instance& instance, const std::vector<Tgd>& tgds) {
-  RoundView view;
-  const size_t num_preds = instance.schema().NumPredicates();
-  view.prev.assign(num_preds, 0);
-  view.cur.assign(num_preds, 0);
-  for (PredId pred = 0; pred < num_preds; ++pred) {
-    view.cur[pred] = instance.AtomsOf(pred).size();
-  }
-  std::vector<Term> h;
-  std::vector<VarId> trail;
+  // The instance is read-only here, so the join indexes are local.
+  IndexSet indexes;
+  JoinCursor body;
+  JoinCursor head;
+  std::vector<Window> body_windows;
+  std::vector<Window> head_windows;
+  auto all_rows = [&](const std::vector<RuleAtom>& atoms,
+                      std::vector<Window>* windows) {
+    windows->clear();
+    for (const RuleAtom& atom : atoms) {
+      windows->push_back({0, instance.AtomsOf(atom.pred).size()});
+    }
+  };
   for (const Tgd& tgd : tgds) {
-    h.assign(tgd.num_vars(), kUnbound);
-    trail.clear();
-    bool violated = false;
-    ForEachNewBodyHom(tgd, instance, view, h, trail,
-                      [&](std::vector<Term>& hom) {
-                        if (violated) return;
-                        std::vector<VarId> head_trail;
-                        if (!HeadSatisfied(tgd, instance, /*view=*/nullptr,
-                                           hom, head_trail)) {
-                          violated = true;
-                        }
-                      });
-    if (violated) return false;
+    const RulePlan plan =
+        PlanRule(tgd, /*with_head=*/true,
+                 [&](PredId pred, std::vector<uint32_t> cols) {
+                   return indexes.Declare(pred, std::move(cols),
+                                          instance.AtomsOf(pred));
+                 });
+    all_rows(tgd.body(), &body_windows);
+    all_rows(tgd.head(), &head_windows);
+    body.Reset(instance, indexes, tgd.body(), plan.body, body_windows,
+               tgd.num_vars());
+    while (body.Next()) {
+      if (!HeadSatisfied(head, tgd, plan.head, instance, indexes, body.h(),
+                         head_windows)) {
+        return false;
+      }
+    }
   }
   return true;
 }

@@ -165,12 +165,22 @@ struct ChaseResult {
   // Deterministic for a given (input, threads, budget), but 0 for a serial
   // run — diagnostics only, like triggers_prefiltered.
   uint64_t peak_buffered_homs = 0;
+  // Join work of this call's body enumeration (chase/join_cursor.h):
+  // candidate rows probed, and body homomorphisms emitted. Their ratio is
+  // the rows-probed-per-homomorphism cost of the round joins — about 1 per
+  // joined position on key joins, where a full scan would probe whole
+  // relations. Equal at every frontier_threads for a run that reaches its
+  // fixpoint (a limit cut may stop enumeration at a different point).
+  // Counts start at zero on resume, since checkpoints do not carry them.
+  uint64_t body_rows_probed = 0;
+  uint64_t body_homs = 0;
 
   explicit ChaseResult(Instance i) : instance(std::move(i)) {}
 };
 
-// Runs the chase of `database` with `tgds`. The schema of `database` must
-// contain every predicate of `tgds`.
+// Runs the chase of `database` with `tgds`. Every atom of `tgds` must name
+// a predicate of the schema of `database`, with its arity; otherwise
+// kInvalidArgument.
 [[nodiscard]] StatusOr<ChaseResult> RunChase(const Database& database,
                                const std::vector<Tgd>& tgds,
                                const ChaseOptions& options = {});

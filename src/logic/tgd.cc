@@ -2,6 +2,7 @@
 
 #include "base/status.h"
 #include "logic/atom.h"
+#include "logic/schema.h"
 
 #include <algorithm>
 #include <unordered_map>
@@ -72,6 +73,24 @@ bool AllHaveNonEmptyFrontier(const std::vector<Tgd>& tgds) {
   return std::all_of(tgds.begin(), tgds.end(), [](const Tgd& tgd) {
     return tgd.HasNonEmptyFrontier();
   });
+}
+
+Status CheckTgdsFitSchema(const std::vector<Tgd>& tgds, const Schema& schema) {
+  for (const Tgd& tgd : tgds) {
+    for (const auto* atoms : {&tgd.body(), &tgd.head()}) {
+      for (const RuleAtom& atom : *atoms) {
+        if (atom.pred >= schema.NumPredicates()) {
+          return InvalidArgumentError("TGD uses a predicate not in the schema");
+        }
+        if (atom.args.size() != schema.Arity(atom.pred)) {
+          return InvalidArgumentError("TGD atom over " +
+                                      schema.PredicateName(atom.pred) +
+                                      " has the wrong arity for the schema");
+        }
+      }
+    }
+  }
+  return OkStatus();
 }
 
 }  // namespace chase

@@ -16,6 +16,7 @@
 
 #include "base/status.h"
 #include "logic/atom.h"
+#include "logic/schema.h"
 
 namespace chase {
 
@@ -68,6 +69,11 @@ class Tgd {
 bool AllLinear(const std::vector<Tgd>& tgds);
 bool AllSimpleLinear(const std::vector<Tgd>& tgds);
 bool AllHaveNonEmptyFrontier(const std::vector<Tgd>& tgds);
+
+// kInvalidArgument unless every body and head atom of `tgds` names a
+// predicate of `schema` with the schema's arity.
+[[nodiscard]] Status CheckTgdsFitSchema(const std::vector<Tgd>& tgds,
+                                        const Schema& schema);
 
 }  // namespace chase
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <functional>
 #include <map>
 #include <set>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "base/status.h"
 #include "chase/chase_engine.h"
 #include "chase/instance.h"
+#include "chase/join_cursor.h"
 #include "core/is_chase_finite.h"
 #include "logic/atom.h"
 #include "logic/database.h"
@@ -176,47 +176,29 @@ StatusOr<ConjunctiveQuery> ParseQuery(std::string_view text, Schema* schema) {
   return cq;
 }
 
-namespace {
-
-constexpr Term kUnbound = ~Term{0};
-
-void MatchAtoms(const Instance& instance, const ConjunctiveQuery& query,
-                size_t atom_index, std::vector<Term>* assignment,
-                std::set<Answer>* answers) {
-  if (atom_index == query.body.size()) {
-    Answer answer;
-    answer.reserve(query.answer_vars.size());
-    for (VarId v : query.answer_vars) answer.push_back((*assignment)[v]);
-    answers->insert(std::move(answer));
-    return;
-  }
-  const RuleAtom& atom = query.body[atom_index];
-  for (const GroundAtom& candidate : instance.AtomsOf(atom.pred)) {
-    std::vector<std::pair<VarId, Term>> bound;
-    bool ok = true;
-    for (size_t i = 0; i < atom.args.size(); ++i) {
-      const VarId var = atom.args[i];
-      const Term term = candidate.args[i];
-      if ((*assignment)[var] == kUnbound) {
-        (*assignment)[var] = term;
-        bound.emplace_back(var, term);
-      } else if ((*assignment)[var] != term) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) MatchAtoms(instance, query, atom_index + 1, assignment, answers);
-    for (const auto& [var, term] : bound) (*assignment)[var] = kUnbound;
-  }
-}
-
-}  // namespace
-
 std::vector<Answer> Evaluate(const Instance& instance,
                              const ConjunctiveQuery& query) {
+  // The instance is read-only here, so the join indexes are local.
+  IndexSet indexes;
+  const std::vector<uint32_t> ids =
+      PlanJoin(query.body, std::vector<char>(query.num_vars, 0),
+               [&](PredId pred, std::vector<uint32_t> cols) {
+                 return indexes.Declare(pred, std::move(cols),
+                                        instance.AtomsOf(pred));
+               });
+  std::vector<JoinCursor::Window> windows;
+  for (const RuleAtom& atom : query.body) {
+    windows.push_back({0, instance.AtomsOf(atom.pred).size()});
+  }
+  JoinCursor cursor;
+  cursor.Reset(instance, indexes, query.body, ids, windows, query.num_vars);
   std::set<Answer> answers;
-  std::vector<Term> assignment(query.num_vars, kUnbound);
-  MatchAtoms(instance, query, 0, &assignment, &answers);
+  while (cursor.Next()) {
+    Answer answer;
+    answer.reserve(query.answer_vars.size());
+    for (VarId v : query.answer_vars) answer.push_back(cursor.h()[v]);
+    answers.insert(std::move(answer));
+  }
   return {answers.begin(), answers.end()};
 }
 

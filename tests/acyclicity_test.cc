@@ -227,6 +227,29 @@ TEST(MfaTest, ResourceExhaustionIsReported) {
   EXPECT_EQ(verdict.status().code(), StatusCode::kResourceExhausted);
 }
 
+TEST(MfaTest, RejectsRulesThatDoNotFitTheSchema) {
+  // Predicate ids are shared by position: the rules' schema interns in
+  // text order, the target schema declares p/1 (and s/1 where given).
+  struct Case {
+    const char* rules;
+    bool declare_s;
+  };
+  for (const Case& c : {Case{"p(X) -> q5(X).", false},  // head outside
+                        Case{"p(X, Y), p(Y, X) -> s(X).", true},  // body arity
+                        Case{"p(X) -> s(X, Y).", true}}) {  // head arity
+    Schema rule_schema;
+    auto tgds = ParseTgds(c.rules, &rule_schema);
+    ASSERT_TRUE(tgds.ok()) << tgds.status();
+    Schema schema;
+    ASSERT_TRUE(schema.AddPredicate("p", 1).ok());
+    if (c.declare_s) ASSERT_TRUE(schema.AddPredicate("s", 1).ok());
+    auto verdict = IsModelFaithfulAcyclic(schema, *tgds);
+    ASSERT_FALSE(verdict.ok()) << c.rules;
+    EXPECT_EQ(verdict.status().code(), StatusCode::kInvalidArgument)
+        << c.rules;
+  }
+}
+
 TEST(MfaTest, MultiHeadSharedNullIsTracked) {
   // The same invented null appears in two head atoms; its reuse through
   // either atom must carry provenance.

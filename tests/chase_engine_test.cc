@@ -234,5 +234,58 @@ TEST(ChaseTest, RejectsRuleOverForeignSchema) {
   EXPECT_FALSE(RunChase(db, rules.tgds, {}).ok());
 }
 
+TEST(ChaseTest, RejectsHeadPredicateOutsideTheSchema) {
+  // p(X) -> q5(X) with a schema that only knows p/1: q5 must not be
+  // materialized as if it were declared.
+  Schema rule_schema;
+  ASSERT_TRUE(rule_schema.AddPredicate("p", 1).ok());
+  auto tgds = ParseTgds("p(X) -> q5(X).", &rule_schema);
+  ASSERT_TRUE(tgds.ok()) << tgds.status();
+  Schema schema;
+  const PredId p = schema.AddPredicate("p", 1).value();
+  Database db(&schema);
+  const uint32_t a = db.InternConstant("a");
+  ASSERT_TRUE(db.AddFact(p, std::vector<uint32_t>{a}).ok());
+  auto result = RunChase(db, *tgds);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ChaseTest, RejectsBodyAtomWithTheWrongArity) {
+  // r/3 in the rules but r/1 in the database's schema: matching the body
+  // would read past the end of every row.
+  Schema rule_schema;
+  auto tgds = ParseTgds("r(X, Y, Z), r(Z, Y, X) -> s(X).", &rule_schema);
+  ASSERT_TRUE(tgds.ok()) << tgds.status();
+  Schema schema;
+  const PredId r = schema.AddPredicate("r", 1).value();
+  ASSERT_TRUE(schema.AddPredicate("s", 1).ok());
+  Database db(&schema);
+  const uint32_t a = db.InternConstant("a");
+  ASSERT_TRUE(db.AddFact(r, std::vector<uint32_t>{a}).ok());
+  for (ChaseVariant variant :
+       {ChaseVariant::kOblivious, ChaseVariant::kSemiOblivious,
+        ChaseVariant::kRestricted}) {
+    ChaseOptions options;
+    options.variant = variant;
+    auto result = RunChase(db, *tgds, options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(ChaseTest, RejectsHeadAtomWithTheWrongArity) {
+  Schema rule_schema;
+  auto tgds = ParseTgds("r(X) -> s(X, Y).", &rule_schema);
+  ASSERT_TRUE(tgds.ok()) << tgds.status();
+  Schema schema;
+  ASSERT_TRUE(schema.AddPredicate("r", 1).ok());
+  ASSERT_TRUE(schema.AddPredicate("s", 1).ok());
+  Database db(&schema);
+  auto result = RunChase(db, *tgds);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace chase
