@@ -4,7 +4,7 @@
 
 namespace {
 constexpr chase::storage::ShapeFinderMode kFinderMode =
-    chase::storage::ShapeFinderMode::kInMemory;
+    chase::storage::ShapeFinderMode::kScan;
 constexpr const char* kFigureTitle =
     "Figure 3: FindShapes runtime (in-memory) vs n-tuples";
 }  // namespace

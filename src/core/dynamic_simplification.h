@@ -67,7 +67,7 @@ StatusOr<DynamicSimplificationResult> DynamicSimplificationFromShapes(
 // simplification worklist.
 [[nodiscard]] StatusOr<DynamicSimplificationResult> DynamicSimplification(
     const Database& database, const std::vector<Tgd>& tgds,
-    storage::ShapeFinderMode mode = storage::ShapeFinderMode::kInMemory,
+    storage::ShapeFinderMode mode = storage::ShapeFinderMode::kScan,
     unsigned threads = 1);
 
 }  // namespace chase

@@ -89,19 +89,12 @@ StatusOr<bool> IsChaseFiniteL(const Database& database,
   LCheckStats local;
   LCheckStats& out = stats != nullptr ? *stats : local;
 
-  // One worker pool for the whole check: FindShapes and the simplification
-  // worklist used to spawn one each even though both accept a shared pool.
-  // A caller-owned pool wins; otherwise spawn once here, sized to the
-  // larger of the two knobs (both phases are deterministic in their thread
-  // count, so the widened phase returns the same result either way).
-  WorkerPool* pool = options.pool;
+  // One worker pool for the whole check, shared by FindShapes and the
+  // simplification worklist: a check pays one thread spawn, not one per
+  // phase.
   std::optional<WorkerPool> owned_pool;
-  const unsigned max_threads =
-      std::max(options.shape_threads, options.simplify_threads);
-  if (pool == nullptr && max_threads > 1) {
-    owned_pool.emplace(max_threads);
-    pool = &*owned_pool;
-  }
+  if (options.threads > 1) owned_pool.emplace(options.threads);
+  WorkerPool* pool = owned_pool.has_value() ? &*owned_pool : nullptr;
 
   // The db-dependent component: FindShapes (Section 8's t-shapes), unless
   // the caller maintains the shapes incrementally (Section 10) — either as
@@ -118,11 +111,8 @@ StatusOr<bool> IsChaseFiniteL(const Database& database,
         storage::MemoryShapeSource source(&catalog);
         storage::FindShapesOptions find_options;
         find_options.mode = options.shape_finder;
-        find_options.threads = options.shape_threads;
-        // Share the pool only when this phase was asked to run parallel: a
-        // serial phase keeps its serial plan (and its serial-plan metering)
-        // even if the other phase forced a pool into existence.
-        find_options.pool = options.shape_threads > 1 ? pool : nullptr;
+        find_options.threads = options.threads;
+        find_options.pool = pool;
         CHASE_ASSIGN_OR_RETURN(computed,
                                index::FindShapes(source, find_options));
       }
@@ -145,8 +135,7 @@ StatusOr<bool> IsChaseFiniteL(const Database& database,
     CHASE_ASSIGN_OR_RETURN(
         DynamicSimplificationResult result,
         DynamicSimplificationFromShapes(
-            database.schema(), tgds, shapes, options.simplify_threads,
-            options.simplify_threads > 1 ? pool : nullptr));
+            database.schema(), tgds, shapes, options.threads, pool));
     simplified_opt.emplace(std::move(result));
     graph_opt.emplace(BuildDependencyGraph(
         simplified_opt->shape_schema->schema(), simplified_opt->tgds));

@@ -47,16 +47,13 @@ struct SlCheckStats {
                                SlCheckStats* stats = nullptr);
 
 struct LCheckOptions {
-  storage::ShapeFinderMode shape_finder =
-      storage::ShapeFinderMode::kInMemory;
-  // Worker threads for the db-dependent FindShapes component (<= 1 runs it
-  // serially). Ignored when the shapes come precomputed.
-  unsigned shape_threads = 1;
-  // Worker threads for the dynamic-simplification worklist (<= 1 expands it
-  // inline). The emitted simple_D(Σ) is canonical and thread-count-
-  // independent (see DynamicSimplificationResult), so this only changes
-  // wall-clock, never the verdict or the stats.
-  unsigned simplify_threads = 1;
+  storage::ShapeFinderMode shape_finder = storage::ShapeFinderMode::kScan;
+  // Worker threads for both parallel phases: the db-dependent FindShapes
+  // component and the dynamic-simplification worklist (<= 1 runs both
+  // serially). Above 1 the check spawns one WorkerPool and runs both
+  // phases on it. Each phase is deterministic in its thread count, so this
+  // only changes wall-clock, never the verdict or the stats.
+  unsigned threads = 1;
   // When set, shape(D) is extracted from this incrementally maintained
   // index (index::ShardedShapeIndex::CurrentShapes) instead of scanning
   // the database — the Section 10 "materialize the shapes" deployment with
@@ -67,15 +64,6 @@ struct LCheckOptions {
   // and the db-dependent component is skipped entirely. Takes precedence
   // over shape_index. Must outlive the call.
   const std::vector<Shape>* precomputed_shapes = nullptr;
-  // When non-null, both parallel phases — FindShapes and the dynamic-
-  // simplification worklist — run on this caller-owned persistent
-  // WorkerPool; its thread count overrides shape_threads and
-  // simplify_threads. When null and either thread knob exceeds 1, the
-  // check spawns ONE pool sized to the larger knob and threads it through
-  // both phases itself, so a check pays one thread spawn, not one per
-  // phase. Verdict and stats are identical either way (both phases are
-  // deterministic in their thread count).
-  WorkerPool* pool = nullptr;
 };
 
 struct LCheckStats {

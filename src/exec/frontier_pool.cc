@@ -199,15 +199,4 @@ void WorkerPool::Loop(unsigned worker) {
   }
 }
 
-void FrontierParallelFor(
-    size_t n, unsigned threads,
-    const std::function<void(unsigned worker, size_t index)>& work) {
-  if (threads <= 1 || n <= 1) {
-    for (size_t index = 0; index < n; ++index) work(0, index);
-    return;
-  }
-  WorkerPool pool(threads);
-  pool.ParallelFor(n, work);
-}
-
 }  // namespace chase

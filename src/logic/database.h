@@ -38,7 +38,7 @@ class Database {
     if (constant_id < constants_.size()) {
       return constants_.NameOf(constant_id);
     }
-    return "c" + std::to_string(constant_id);
+    return std::string("c").append(std::to_string(constant_id));
   }
   size_t NumConstants() const {
     return std::max<size_t>(constants_.size(), anonymous_domain_);

@@ -25,8 +25,10 @@ void AppendAtom(const Schema& schema, const Tgd& tgd, const RuleAtom& atom,
 }  // namespace
 
 std::string VariableName(const Tgd& tgd, VarId var) {
-  if (tgd.IsUniversal(var)) return "X" + std::to_string(var);
-  return "Z" + std::to_string(var - tgd.num_universal());
+  if (tgd.IsUniversal(var)) {
+    return std::string("X").append(std::to_string(var));
+  }
+  return std::string("Z").append(std::to_string(var - tgd.num_universal()));
 }
 
 std::string ToString(const Schema& schema, const Tgd& tgd,

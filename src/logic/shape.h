@@ -85,6 +85,14 @@ struct Shape {
   }
 };
 
+struct IdTupleHash {
+  size_t operator()(const IdTuple& id) const {
+    uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (uint8_t v : id) h = (h ^ v) * 0x100000001b3ULL;
+    return static_cast<size_t>(h);
+  }
+};
+
 struct ShapeHash {
   size_t operator()(const Shape& shape) const {
     uint64_t h = 0x9e3779b97f4a7c15ULL ^ shape.pred;

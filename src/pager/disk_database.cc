@@ -209,7 +209,7 @@ std::string DiskDatabase::ConstantName(uint32_t constant_id) const {
   if (constant_id < constant_names_.size()) {
     return constant_names_[constant_id];
   }
-  return "c" + std::to_string(constant_id);
+  return std::string("c").append(std::to_string(constant_id));
 }
 
 }  // namespace pager

@@ -3,7 +3,7 @@
 #include "logic/shape.h"
 
 #include <queue>
-#include <set>
+#include <unordered_set>
 #include <vector>
 
 namespace chase {
@@ -41,7 +41,7 @@ void WalkShapeLattice(
     const std::function<bool(const IdTuple&)>& relaxed_exists,
     const std::function<bool(const IdTuple&)>& full_exists,
     const std::function<void(const IdTuple&)>& emit) {
-  std::set<IdTuple> enqueued;
+  std::unordered_set<IdTuple, IdTupleHash> enqueued;
   std::queue<IdTuple> frontier;
   IdTuple all_distinct = AllDistinctIdTuple(arity);
   frontier.push(all_distinct);

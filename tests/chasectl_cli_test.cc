@@ -110,19 +110,45 @@ TEST_F(ChasectlCliTest, WellFormedFlagsStillRun) {
                         " --variant=so --threads=2 --hom-budget=1"),
             0);
   EXPECT_EQ(RunChasectl("findshapes " + program_path_ +
-                        " --mode=exists --threads=2 --absorb=parallel"),
+                        " --mode=exists --threads=2"),
             0);
   EXPECT_EQ(RunChasectl("findshapes " + program_path_ +
-                        " --mode=exists --threads=2 --absorb=serial"),
+                        " --backend=disk --mode=exists --threads=2"),
             0);
   EXPECT_EQ(RunChasectl("check " + program_path_ + " --mode=l --threads=2"),
             0);
 }
 
 TEST_F(ChasectlCliTest, UnknownEnumValuesExitTwo) {
-  EXPECT_EQ(RunChasectl("findshapes " + program_path_ + " --absorb=bogus"),
+  EXPECT_EQ(RunChasectl("findshapes " + program_path_ + " --mode=bogus"), 2);
+  EXPECT_EQ(RunChasectl("findshapes " + program_path_ + " --backend=bogus"),
             2);
+  EXPECT_EQ(
+      RunChasectl("check " + program_path_ + " --mode=l --shapes=bogus"), 2);
   EXPECT_EQ(RunChasectl("chase " + program_path_ + " --variant=bogus"), 2);
+}
+
+TEST_F(ChasectlCliTest, UnknownFlagsExitTwo) {
+  // Each subcommand accepts only its own flags: a typo or a retired option
+  // is diagnosed, never run with the default it silently fell back to.
+  const std::string file = program_path_;
+  for (const std::string& args : {
+           "findshapes " + file + " --absorb=serial",
+           "findshapes " + file + " --thread=2",
+           "findshapes " + file + " --threads=2 --absorb=parallel",
+           "check " + file + " --mode=l --thread=2",
+           "check " + file + " --backend=disk",
+           "chase " + file + " --shards=2",
+           "simplify " + file + " --variant=so",
+           "stats " + file + " --print",
+           "zoo " + file + " --threads=2",
+           "graph " + file + " --all-node",
+       }) {
+    EXPECT_EQ(RunChasectl(args), 2) << args;
+  }
+  // The same flags spelled right still run.
+  EXPECT_EQ(RunChasectl("findshapes " + file + " --threads=2"), 0);
+  EXPECT_EQ(RunChasectl("graph " + file + " --all-nodes"), 0);
 }
 
 TEST_F(ChasectlCliTest, MalformedObservabilityFlagsExitTwo) {

@@ -147,9 +147,9 @@ TEST(DynamicSimplificationTest, BothFinderModesAgree) {
   ASSERT_TRUE(tgds.ok());
   auto in_memory =
       DynamicSimplification(*data->database, tgds.value(),
-                            storage::ShapeFinderMode::kInMemory);
+                            storage::ShapeFinderMode::kScan);
   auto in_db = DynamicSimplification(*data->database, tgds.value(),
-                                     storage::ShapeFinderMode::kInDatabase);
+                                     storage::ShapeFinderMode::kExists);
   ASSERT_TRUE(in_memory.ok());
   ASSERT_TRUE(in_db.ok());
   EXPECT_EQ(CanonicalRules(in_memory->shape_schema->schema(),
@@ -181,7 +181,7 @@ TEST(DynamicSimplificationTest, CanonicalTgdOrder) {
   };
   for (unsigned threads : {1u, 4u}) {
     auto dynamic = DynamicSimplification(
-        *p.database, p.tgds, storage::ShapeFinderMode::kInMemory, threads);
+        *p.database, p.tgds, storage::ShapeFinderMode::kScan, threads);
     ASSERT_TRUE(dynamic.ok()) << dynamic.status();
     std::vector<std::string> got;
     for (const Tgd& tgd : dynamic->tgds) {

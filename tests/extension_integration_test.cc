@@ -20,12 +20,13 @@
 #include "io/binary_io.h"
 #include "logic/parser.h"
 #include "pager/disk_database.h"
-#include "pager/disk_shape_finder.h"
+#include "pager/disk_shape_source.h"
 #include "query/conjunctive_query.h"
 #include "query/rewriting.h"
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
 #include "storage/shape_index.h"
+#include "storage/shape_source.h"
 
 namespace chase {
 namespace {
@@ -65,10 +66,12 @@ TEST(ExtensionIntegrationTest, GeneratedWorkloadFullPipeline) {
   const std::string store_path = testing::TempDir() + "/integration.db";
   auto store = pager::DiskDatabase::Create(store_path, *loaded->database);
   ASSERT_TRUE(store.ok());
-  auto disk_shapes = pager::FindShapesOnDiskScan(**store);
+  pager::DiskShapeSource disk(store->get());
+  auto disk_shapes = storage::FindShapes(disk);
   ASSERT_TRUE(disk_shapes.ok());
   storage::Catalog catalog(loaded->database.get());
-  EXPECT_EQ(*disk_shapes, storage::FindShapesInMemory(catalog));
+  storage::MemoryShapeSource memory(&catalog);
+  EXPECT_EQ(*disk_shapes, storage::FindShapes(memory).value());
 
   // 4. Index-fed termination check agrees with both scanning modes.
   storage::ShapeIndex index = storage::ShapeIndex::Build(*loaded->database);
@@ -80,7 +83,7 @@ TEST(ExtensionIntegrationTest, GeneratedWorkloadFullPipeline) {
       IsChaseFiniteL(*loaded->database, loaded->tgds, indexed);
   ASSERT_TRUE(verdict_indexed.ok());
   LCheckOptions in_db;
-  in_db.shape_finder = storage::ShapeFinderMode::kInDatabase;
+  in_db.shape_finder = storage::ShapeFinderMode::kExists;
   auto verdict_db = IsChaseFiniteL(*loaded->database, loaded->tgds, in_db);
   ASSERT_TRUE(verdict_db.ok());
   EXPECT_EQ(verdict_indexed.value(), verdict_db.value());

@@ -393,8 +393,8 @@ TEST(FrontierEquivalenceTest, RestrictedPrefilterSkipsSatisfiedTriggers) {
 }
 
 TEST(FrontierEquivalenceTest, ParallelAbsorbMatchesSerialAbsorbSweep) {
-  // The exists plan's opt-in parallel absorb must never change shape(D):
-  // sweep both absorb modes against the serial-walk oracle.
+  // The exists plan's parallel absorb must never change shape(D): sweep it
+  // against the serial walk (threads == 1), which absorbs in lattice order.
   Rng rng(515151);
   for (int trial = 0; trial < 4; ++trial) {
     GeneratedData data = MakeRandomData(&rng);
@@ -402,18 +402,12 @@ TEST(FrontierEquivalenceTest, ParallelAbsorbMatchesSerialAbsorbSweep) {
     storage::MemoryShapeSource memory(&catalog);
     auto oracle = index::FindShapes(memory, {ShapeFinderMode::kExists, 1});
     ASSERT_TRUE(oracle.ok()) << oracle.status();
-    for (bool parallel_absorb : {false, true}) {
-      for (unsigned threads : kThreadSweep) {
-        storage::FindShapesOptions options{ShapeFinderMode::kExists,
-                                           threads};
-        options.parallel_absorb = parallel_absorb;
-        auto shapes = index::FindShapes(memory, options);
-        ASSERT_TRUE(shapes.ok()) << shapes.status();
-        EXPECT_EQ(*shapes, *oracle)
-            << "trial " << trial << ", absorb "
-            << (parallel_absorb ? "parallel" : "serial") << ", threads "
-            << threads;
-      }
+    for (unsigned threads : kThreadSweep) {
+      auto shapes =
+          index::FindShapes(memory, {ShapeFinderMode::kExists, threads});
+      ASSERT_TRUE(shapes.ok()) << shapes.status();
+      EXPECT_EQ(*shapes, *oracle)
+          << "trial " << trial << ", threads " << threads;
     }
   }
 }

@@ -6,6 +6,7 @@
 #include "gen/tgd_generator.h"
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
+#include "storage/shape_source.h"
 
 namespace chase {
 namespace {
@@ -67,7 +68,8 @@ TEST(DataGeneratorTest, ProducesShapeVariety) {
   auto data = GenerateData(params);
   ASSERT_TRUE(data.ok());
   storage::Catalog catalog(data->database.get());
-  auto shapes = storage::FindShapesInMemory(catalog);
+  storage::MemoryShapeSource source(&catalog);
+  const std::vector<Shape> shapes = storage::FindShapes(source).value();
   EXPECT_GT(shapes.size(), 5u);   // out of B(4) = 15 possible
   EXPECT_LE(shapes.size(), 15u);
 }

@@ -128,8 +128,8 @@ TEST(IntegrationTest, Section8PipelineMiniature) {
   ASSERT_TRUE(tgds.ok());
 
   LCheckStats mem_stats, db_stats;
-  LCheckOptions mem_options{storage::ShapeFinderMode::kInMemory};
-  LCheckOptions db_options{storage::ShapeFinderMode::kInDatabase};
+  LCheckOptions mem_options{storage::ShapeFinderMode::kScan};
+  LCheckOptions db_options{storage::ShapeFinderMode::kExists};
   auto mem_result = IsChaseFiniteL(db, tgds.value(), mem_options, &mem_stats);
   auto db_result = IsChaseFiniteL(db, tgds.value(), db_options, &db_stats);
   ASSERT_TRUE(mem_result.ok()) << mem_result.status();

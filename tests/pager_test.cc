@@ -12,13 +12,13 @@
 #include "pager/buffer_pool.h"
 #include "pager/disk_database.h"
 #include "pager/disk_manager.h"
-#include "pager/disk_shape_finder.h"
 #include "pager/disk_shape_source.h"
 #include "pager/heap_file.h"
 #include "pager/page.h"
 #include "pager/prefetcher.h"
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
+#include "storage/shape_source.h"
 
 namespace chase {
 namespace pager {
@@ -39,6 +39,21 @@ GeneratedData MakeData(uint32_t preds, uint64_t rsize, uint64_t seed) {
   auto data = GenerateData(params);
   EXPECT_TRUE(data.ok()) << data.status();
   return std::move(data).value();
+}
+
+// shape(D) of the row store, by the serial in-memory scan: the oracle the
+// disk plans are checked against.
+std::vector<Shape> MemoryShapes(const Database& db) {
+  storage::Catalog catalog(&db);
+  storage::MemoryShapeSource source(&catalog);
+  return storage::FindShapes(source).value();
+}
+
+// shape(D) of a disk store through a fresh source, serially.
+StatusOr<std::vector<Shape>> DiskShapes(const DiskDatabase& db,
+                                        storage::ShapeFinderMode mode) {
+  DiskShapeSource source(&db);
+  return storage::FindShapes(source, {mode});
 }
 
 // ---------------------------------------------------------------------------
@@ -572,8 +587,7 @@ TEST(PrefetchTest, ScanWithReadAheadMatchesPrefetchOff) {
   // resident between the directory build and the scan — every page is a
   // real fault the prefetcher can take over.
   GeneratedData data = MakeData(3, 20000, 77);
-  storage::Catalog catalog(data.database.get());
-  const std::vector<Shape> expected = storage::FindShapesInMemory(catalog);
+  const std::vector<Shape> expected = MemoryShapes(*data.database);
 
   const std::string path = TempPath("pf_scan_equality.db");
   ASSERT_TRUE(DiskDatabase::Create(path, *data.database).ok());
@@ -838,14 +852,13 @@ TEST_P(DiskShapeFinderTest, AgreesWithRowStoreFinders) {
   auto disk_db = DiskDatabase::Create(path, *data.database, /*num_frames=*/8);
   ASSERT_TRUE(disk_db.ok());
 
-  storage::Catalog catalog(data.database.get());
-  std::vector<Shape> expected = storage::FindShapesInMemory(catalog);
+  const std::vector<Shape> expected = MemoryShapes(*data.database);
 
-  auto scan = FindShapesOnDiskScan(**disk_db);
+  auto scan = DiskShapes(**disk_db, storage::ShapeFinderMode::kScan);
   ASSERT_TRUE(scan.ok()) << scan.status();
   EXPECT_EQ(*scan, expected);
 
-  auto exists = FindShapesOnDiskExists(**disk_db);
+  auto exists = DiskShapes(**disk_db, storage::ShapeFinderMode::kExists);
   ASSERT_TRUE(exists.ok()) << exists.status();
   EXPECT_EQ(*exists, expected);
 }
@@ -860,12 +873,12 @@ std::pair<uint64_t, uint64_t> MeasureFinderReads(const Database& db,
   EXPECT_TRUE(disk_db.ok());
 
   (*disk_db)->disk().stats().Reset();
-  auto scan = FindShapesOnDiskScan(**disk_db);
+  auto scan = DiskShapes(**disk_db, storage::ShapeFinderMode::kScan);
   EXPECT_TRUE(scan.ok());
   uint64_t scan_reads = (*disk_db)->disk().stats().pages_read;
 
   (*disk_db)->disk().stats().Reset();
-  auto exists = FindShapesOnDiskExists(**disk_db);
+  auto exists = DiskShapes(**disk_db, storage::ShapeFinderMode::kExists);
   EXPECT_TRUE(exists.ok());
   uint64_t exists_reads = (*disk_db)->disk().stats().pages_read;
 

@@ -159,16 +159,35 @@ TEST(PropertyTest, StaticAndDynamicLCheckersAgree) {
 }
 
 TEST(PropertyTest, BothShapeFinderModesGiveSameVerdict) {
+  // Both plans at every thread count against the serial scan: the verdict
+  // and the work counters must match, since shape(D) is plan-independent
+  // and both phases of the check are deterministic in their thread count.
   Rng rng(31337);
   for (int trial = 0; trial < 200; ++trial) {
     RandomInput input = MakeRandomInput(rng, TgdClass::kLinear);
-    LCheckOptions in_memory{storage::ShapeFinderMode::kInMemory};
-    LCheckOptions in_db{storage::ShapeFinderMode::kInDatabase};
-    auto a = IsChaseFiniteL(*input.database, input.tgds, in_memory);
-    auto b = IsChaseFiniteL(*input.database, input.tgds, in_db);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a.value(), b.value()) << Describe(input);
+    LCheckStats serial;
+    auto oracle = IsChaseFiniteL(*input.database, input.tgds, {}, &serial);
+    ASSERT_TRUE(oracle.ok());
+    for (storage::ShapeFinderMode mode :
+         {storage::ShapeFinderMode::kScan, storage::ShapeFinderMode::kExists}) {
+      for (unsigned threads : {1u, 2u, 4u}) {
+        LCheckOptions options{.shape_finder = mode, .threads = threads};
+        LCheckStats stats;
+        auto verdict =
+            IsChaseFiniteL(*input.database, input.tgds, options, &stats);
+        ASSERT_TRUE(verdict.ok());
+        SCOPED_TRACE(testing::Message()
+                     << "mode " << storage::ShapeFinderModeName(mode)
+                     << ", threads " << threads << "\n"
+                     << Describe(input));
+        EXPECT_EQ(verdict.value(), oracle.value());
+        EXPECT_EQ(stats.num_initial_shapes, serial.num_initial_shapes);
+        EXPECT_EQ(stats.num_derived_shapes, serial.num_derived_shapes);
+        EXPECT_EQ(stats.num_simplified_tgds, serial.num_simplified_tgds);
+        EXPECT_EQ(stats.graph_nodes, serial.graph_nodes);
+        EXPECT_EQ(stats.graph_edges, serial.graph_edges);
+      }
+    }
   }
 }
 

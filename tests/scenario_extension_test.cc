@@ -13,6 +13,7 @@
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
 #include "storage/shape_index.h"
+#include "storage/shape_source.h"
 
 namespace chase {
 namespace {
@@ -39,8 +40,9 @@ TEST(ScenarioExtensionTest, ShapeIndexMatchesFindShapesOnLubm) {
   ASSERT_TRUE(scenario.ok()) << scenario.status();
   const Program& p = scenario->program;
   storage::Catalog catalog(p.database.get());
+  storage::MemoryShapeSource source(&catalog);
   storage::ShapeIndex index = storage::ShapeIndex::Build(*p.database);
-  EXPECT_EQ(index.CurrentShapes(), storage::FindShapesInMemory(catalog));
+  EXPECT_EQ(index.CurrentShapes(), storage::FindShapes(source).value());
 
   // Index-fed check agrees with the scanning check.
   std::vector<Shape> shapes = index.CurrentShapes();
@@ -85,10 +87,12 @@ TEST(ScenarioExtensionTest, IBenchShapeFindersAgree) {
   auto scenario = MakeIBenchScenario(params);
   ASSERT_TRUE(scenario.ok()) << scenario.status();
   const Program& p = scenario->program;
-  storage::Catalog mem(p.database.get());
-  storage::Catalog db(p.database.get());
-  EXPECT_EQ(storage::FindShapesInMemory(mem),
-            storage::FindShapesInDatabase(db));
+  storage::Catalog catalog(p.database.get());
+  storage::MemoryShapeSource source(&catalog);
+  EXPECT_EQ(
+      storage::FindShapes(source, {storage::ShapeFinderMode::kScan}).value(),
+      storage::FindShapes(source, {storage::ShapeFinderMode::kExists})
+          .value());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
 #include "storage/shape_index.h"
+#include "storage/shape_source.h"
 
 namespace chase {
 namespace storage {
@@ -37,7 +38,8 @@ TEST(ShapeIndexTest, BuildMatchesFindShapes) {
   GeneratedData data = MakeData(6, 80, 99);
   ShapeIndex index = ShapeIndex::Build(*data.database);
   Catalog catalog(data.database.get());
-  EXPECT_EQ(index.CurrentShapes(), FindShapesInMemory(catalog));
+  MemoryShapeSource source(&catalog);
+  EXPECT_EQ(index.CurrentShapes(), FindShapes(source).value());
 }
 
 TEST(ShapeIndexTest, InsertAddsShapeOnce) {
@@ -127,7 +129,8 @@ TEST_P(ShapeIndexPropertyTest, MatchesRecomputationUnderChurn) {
     }
   }
   Catalog catalog(&db);
-  EXPECT_EQ(index.CurrentShapes(), FindShapesInMemory(catalog));
+  MemoryShapeSource source(&catalog);
+  EXPECT_EQ(index.CurrentShapes(), FindShapes(source).value());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShapeIndexPropertyTest,

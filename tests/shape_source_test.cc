@@ -52,14 +52,15 @@ TEST(ShapeSourceTest, AllBackendModeThreadCombinationsAgree) {
   for (int trial = 0; trial < 12; ++trial) {
     GeneratedData data = MakeRandomData(&rng);
     storage::Catalog catalog(data.database.get());
-    const std::vector<Shape> expected = storage::FindShapesInMemory(catalog);
+    storage::MemoryShapeSource memory(&catalog);
+    // The serial in-memory scan is the oracle.
+    const std::vector<Shape> expected = storage::FindShapes(memory).value();
 
     const std::string path =
         TempPath("chase_shape_source_" + std::to_string(trial) + ".db");
     auto disk_db = pager::DiskDatabase::Create(path, *data.database,
                                                /*num_frames=*/16);
     ASSERT_TRUE(disk_db.ok()) << disk_db.status();
-    storage::MemoryShapeSource memory(&catalog);
     pager::DiskShapeSource disk(disk_db->get());
 
     for (const storage::ShapeSource* source :

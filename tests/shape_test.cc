@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <unordered_set>
 
 #include "core/specialization.h"
 #include "logic/schema.h"
@@ -67,7 +68,8 @@ TEST(ShapeTest, EnumerateIdTuplesMatchesBellNumbers) {
     EXPECT_EQ(tuples.size(), expected[arity - 1]) << "arity " << arity;
     EXPECT_EQ(BellNumber(arity), expected[arity - 1]);
     // All distinct, all valid restricted-growth strings.
-    std::set<IdTuple> distinct(tuples.begin(), tuples.end());
+    std::unordered_set<IdTuple, IdTupleHash> distinct(tuples.begin(),
+                                                      tuples.end());
     EXPECT_EQ(distinct.size(), tuples.size());
     for (const IdTuple& id : tuples) {
       uint8_t max_seen = 0;
@@ -114,7 +116,7 @@ TEST(ShapeTest, MergeBlocksCoversAllCoarserings) {
   // Every coarser partition is reachable by successive merges: check the
   // one-step children of [1,2,3,4] are all distinct and valid.
   IdTuple base = {1, 2, 3, 4};
-  std::set<IdTuple> children;
+  std::unordered_set<IdTuple, IdTupleHash> children;
   for (uint32_t i = 0; i < 4; ++i) {
     for (uint32_t j = i + 1; j < 4; ++j) {
       IdTuple child = MergeBlocks(base, i, j);

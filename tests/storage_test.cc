@@ -4,23 +4,40 @@
 #include "gen/data_generator.h"
 #include "logic/parser.h"
 #include "storage/catalog.h"
-#include "storage/exists_query.h"
-#include "storage/parallel_shape_finder.h"
 #include "storage/shape_finder.h"
+#include "storage/shape_source.h"
 
 namespace chase {
 namespace {
 
 using storage::Catalog;
-using storage::FindShapes;
-using storage::FindShapesInDatabase;
-using storage::FindShapesInMemory;
 using storage::ShapeFinderMode;
 
 Program MustParse(const std::string& text) {
   auto program = ParseProgram(text);
   EXPECT_TRUE(program.ok()) << program.status();
   return std::move(program).value();
+}
+
+// shape(D) of the row store behind `catalog` via the unified entry point;
+// access stats land in catalog.stats().
+std::vector<Shape> FindShapes(const Catalog& catalog, ShapeFinderMode mode,
+                              unsigned threads = 1) {
+  storage::MemoryShapeSource source(&catalog);
+  auto shapes = storage::FindShapes(source, {mode, threads});
+  EXPECT_TRUE(shapes.ok()) << shapes.status();
+  return shapes.ok() ? *std::move(shapes) : std::vector<Shape>{};
+}
+
+// One EXISTS probe (Section 5.4) against the row store: the full query
+// when `exact`, else the relaxed (equalities-only) one.
+bool Exists(const Catalog& catalog, PredId pred, const IdTuple& id,
+            bool exact) {
+  storage::MemoryShapeSource source(&catalog);
+  auto found =
+      storage::ProbeShapeExists(source, pred, id, exact, &source.stats());
+  EXPECT_TRUE(found.ok()) << found.status();
+  return found.ok() && *found;
 }
 
 TEST(CatalogTest, ListNonEmptyRelationsUsesMetadataOnly) {
@@ -37,11 +54,11 @@ TEST(ExistsQueryTest, ExactShapeMatch) {
   Program p = MustParse("r(a,a,b). r(a,b,c).");
   Catalog catalog(p.database.get());
   const PredId r = p.schema->FindPredicate("r").value();
-  EXPECT_TRUE(ExistsTupleWithShape(catalog, r, {1, 1, 2}));
-  EXPECT_TRUE(ExistsTupleWithShape(catalog, r, {1, 2, 3}));
-  EXPECT_FALSE(ExistsTupleWithShape(catalog, r, {1, 1, 1}));
-  EXPECT_FALSE(ExistsTupleWithShape(catalog, r, {1, 2, 1}));
-  EXPECT_FALSE(ExistsTupleWithShape(catalog, r, {1, 2, 2}));
+  EXPECT_TRUE(Exists(catalog, r, {1, 1, 2}, /*exact=*/true));
+  EXPECT_TRUE(Exists(catalog, r, {1, 2, 3}, /*exact=*/true));
+  EXPECT_FALSE(Exists(catalog, r, {1, 1, 1}, /*exact=*/true));
+  EXPECT_FALSE(Exists(catalog, r, {1, 2, 1}, /*exact=*/true));
+  EXPECT_FALSE(Exists(catalog, r, {1, 2, 2}, /*exact=*/true));
 }
 
 TEST(ExistsQueryTest, RelaxedQueryIgnoresDisequalities) {
@@ -50,19 +67,19 @@ TEST(ExistsQueryTest, RelaxedQueryIgnoresDisequalities) {
   const PredId r = p.schema->FindPredicate("r").value();
   // The all-equal tuple satisfies the equality conditions of every shape
   // that only asks for equalities it has.
-  EXPECT_TRUE(ExistsTupleSatisfyingEqualities(catalog, r, {1, 1, 2}));
-  EXPECT_TRUE(ExistsTupleSatisfyingEqualities(catalog, r, {1, 1, 1}));
-  EXPECT_TRUE(ExistsTupleSatisfyingEqualities(catalog, r, {1, 2, 3}));
-  EXPECT_FALSE(ExistsTupleWithShape(catalog, r, {1, 1, 2}));
+  EXPECT_TRUE(Exists(catalog, r, {1, 1, 2}, /*exact=*/false));
+  EXPECT_TRUE(Exists(catalog, r, {1, 1, 1}, /*exact=*/false));
+  EXPECT_TRUE(Exists(catalog, r, {1, 2, 3}, /*exact=*/false));
+  EXPECT_FALSE(Exists(catalog, r, {1, 1, 2}, /*exact=*/true));
 }
 
 TEST(ExistsQueryTest, EarlyExitCountsScannedTuples) {
   Program p = MustParse("r(a,b). r(c,d). r(e,f).");
   Catalog catalog(p.database.get());
   const PredId r = p.schema->FindPredicate("r").value();
-  EXPECT_TRUE(ExistsTupleWithShape(catalog, r, {1, 2}));
+  EXPECT_TRUE(Exists(catalog, r, {1, 2}, /*exact=*/true));
   EXPECT_EQ(catalog.stats().tuples_scanned, 1u);  // first row matches
-  EXPECT_FALSE(ExistsTupleWithShape(catalog, r, {1, 1}));
+  EXPECT_FALSE(Exists(catalog, r, {1, 1}, /*exact=*/true));
   EXPECT_EQ(catalog.stats().tuples_scanned, 4u);  // full scan added 3
   EXPECT_EQ(catalog.stats().exists_queries, 2u);
 }
@@ -80,16 +97,16 @@ TEST(ShapeFinderTest, FindsAllShapes) {
   const std::vector<Shape> expected = {
       Shape(r, {1, 1, 2}), Shape(r, {1, 2, 1}), Shape(r, {1, 2, 3}),
       Shape(s, {1}), Shape(t, {1, 1})};
-  EXPECT_EQ(FindShapesInMemory(catalog), expected);
-  EXPECT_EQ(FindShapesInDatabase(catalog), expected);
+  EXPECT_EQ(FindShapes(catalog, ShapeFinderMode::kScan), expected);
+  EXPECT_EQ(FindShapes(catalog, ShapeFinderMode::kExists), expected);
 }
 
 TEST(ShapeFinderTest, EmptyDatabase) {
   Program p;
   ASSERT_TRUE(p.schema->AddPredicate("r", 2).ok());
   Catalog catalog(p.database.get());
-  EXPECT_TRUE(FindShapesInMemory(catalog).empty());
-  EXPECT_TRUE(FindShapesInDatabase(catalog).empty());
+  EXPECT_TRUE(FindShapes(catalog, ShapeFinderMode::kScan).empty());
+  EXPECT_TRUE(FindShapes(catalog, ShapeFinderMode::kExists).empty());
 }
 
 TEST(ShapeFinderTest, AprioriPrunesUnreachableShapes) {
@@ -99,7 +116,7 @@ TEST(ShapeFinderTest, AprioriPrunesUnreachableShapes) {
   // all-distinct one and its 6 single-merge children get a relaxed probe).
   Program p = MustParse("r(a,b,c,d). r(e,f,g,h).");
   Catalog catalog(p.database.get());
-  auto shapes = FindShapesInDatabase(catalog);
+  auto shapes = FindShapes(catalog, ShapeFinderMode::kExists);
   ASSERT_EQ(shapes.size(), 1u);
   // 1 relaxed + 1 full for the all-distinct shape, then 6 failing relaxed
   // probes for its children: 8 queries total, far below 2 * 15.
@@ -109,15 +126,11 @@ TEST(ShapeFinderTest, AprioriPrunesUnreachableShapes) {
 TEST(ShapeFinderTest, ModeDispatchAndNames) {
   Program p = MustParse("r(a,b).");
   Catalog catalog(p.database.get());
-  EXPECT_EQ(FindShapes(catalog, ShapeFinderMode::kInMemory).size(), 1u);
-  EXPECT_EQ(FindShapes(catalog, ShapeFinderMode::kInDatabase).size(), 1u);
-  // The plans are backend-independent since the ShapeSource layer; the
-  // legacy enumerators alias the plan their backend used.
+  EXPECT_EQ(FindShapes(catalog, ShapeFinderMode::kScan).size(), 1u);
+  EXPECT_EQ(FindShapes(catalog, ShapeFinderMode::kExists).size(), 1u);
   EXPECT_STREQ(storage::ShapeFinderModeName(ShapeFinderMode::kScan), "scan");
   EXPECT_STREQ(storage::ShapeFinderModeName(ShapeFinderMode::kExists),
                "exists");
-  EXPECT_EQ(ShapeFinderMode::kInMemory, ShapeFinderMode::kScan);
-  EXPECT_EQ(ShapeFinderMode::kInDatabase, ShapeFinderMode::kExists);
 }
 
 TEST(ShapeFinderTest, AgreeOnRandomDatabases) {
@@ -133,7 +146,8 @@ TEST(ShapeFinderTest, AgreeOnRandomDatabases) {
     auto data = GenerateData(params);
     ASSERT_TRUE(data.ok()) << data.status();
     Catalog catalog(data->database.get());
-    EXPECT_EQ(FindShapesInMemory(catalog), FindShapesInDatabase(catalog))
+    EXPECT_EQ(FindShapes(catalog, ShapeFinderMode::kScan),
+              FindShapes(catalog, ShapeFinderMode::kExists))
         << "trial " << trial;
   }
 }
@@ -148,13 +162,13 @@ TEST(ShapeFinderTest, StatsDifferBetweenModes) {
   auto data = GenerateData(params);
   ASSERT_TRUE(data.ok());
   Catalog mem_catalog(data->database.get());
-  FindShapesInMemory(mem_catalog);
+  FindShapes(mem_catalog, ShapeFinderMode::kScan);
   EXPECT_EQ(mem_catalog.stats().exists_queries, 0u);
   EXPECT_EQ(mem_catalog.stats().relations_loaded, 3u);
   EXPECT_EQ(mem_catalog.stats().tuples_scanned, 150u);
 
   Catalog db_catalog(data->database.get());
-  FindShapesInDatabase(db_catalog);
+  FindShapes(db_catalog, ShapeFinderMode::kExists);
   EXPECT_GT(db_catalog.stats().exists_queries, 0u);
   EXPECT_EQ(db_catalog.stats().relations_loaded, 0u);
 }
@@ -175,11 +189,12 @@ TEST_P(ParallelShapeFinderTest, AgreesWithSerialScan) {
   ASSERT_TRUE(data.ok());
 
   Catalog serial_catalog(data->database.get());
-  std::vector<Shape> expected = FindShapesInMemory(serial_catalog);
+  std::vector<Shape> expected =
+      FindShapes(serial_catalog, ShapeFinderMode::kScan);
 
   Catalog parallel_catalog(data->database.get());
   std::vector<Shape> actual =
-      storage::FindShapesParallel(parallel_catalog, threads);
+      FindShapes(parallel_catalog, ShapeFinderMode::kScan, threads);
   EXPECT_EQ(actual, expected);
   // Every tuple is scanned exactly once regardless of thread count.
   EXPECT_EQ(parallel_catalog.stats().tuples_scanned,
@@ -196,7 +211,7 @@ TEST(ParallelShapeFinderTest, EmptyDatabase) {
   ASSERT_TRUE(schema.AddPredicate("r", 2).ok());
   Database db(&schema);
   Catalog catalog(&db);
-  EXPECT_TRUE(storage::FindShapesParallel(catalog, 4).empty());
+  EXPECT_TRUE(FindShapes(catalog, ShapeFinderMode::kScan, 4).empty());
 }
 
 }  // namespace

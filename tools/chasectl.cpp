@@ -15,7 +15,6 @@
 //   findshapes <file> [--backend=memory|disk|index]
 //              [--mode=scan|exists|index] [--threads=N]
 //              [--pool-shards=N] [--prefetch=K]
-//              [--absorb=parallel|serial]
 //              [--snapshot=path.chidx]             shape(D) via ShapeSource
 //   index build <file> <out.chidx> [--backend=memory|disk] [--threads=N]
 //              [--shards=N]                        materialize shape(D)
@@ -23,7 +22,8 @@
 //   stats <file>                                   Table-1-style statistics
 //   zoo <file>                                     acyclicity zoo verdicts
 //   generate <out> [--preds=N] [--tgds=N] [--tuples=N] [--arity=N]
-//            [--class=sl|l] [--seed=N] [--binary]  synthesize a workload
+//            [--domain=N] [--class=sl|l] [--seed=N]
+//                                                  synthesize a workload
 //   convert <in> <out>                             text <-> binary (by
 //                                                  extension: .chbin)
 //
@@ -34,7 +34,7 @@
 // check, chase, simplify, and findshapes additionally take
 // --trace=FILE (Chrome trace-event JSON for Perfetto/chrome://tracing)
 // and --metrics=FILE (metrics-registry JSON dump) — see README
-// "Observability".
+// "Observability". Any flag a subcommand does not accept exits 2.
 
 #include <unistd.h>
 
@@ -50,6 +50,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "acyclicity/joint_acyclicity.h"
@@ -192,22 +193,6 @@ uint32_t DiskPoolFrames(unsigned threads, unsigned pool_shards) {
 // Read-ahead depth in pages; 0 = off.
 bool ParsePrefetch(const Args& args, unsigned* prefetch) {
   return ParseBoundedFlag(args, "prefetch", 0, 0, 1u << 16, prefetch);
-}
-
-// --absorb=parallel|serial -> how the exists plan's frontier engine
-// absorbs each depth's confirmed shapes (results identical either way;
-// serial keeps the differential oracle path reachable from the CLI).
-bool ParseAbsorb(const Args& args, bool* parallel_absorb) {
-  const std::string raw = args.Get("absorb", "parallel");
-  if (raw == "parallel") {
-    *parallel_absorb = true;
-  } else if (raw == "serial") {
-    *parallel_absorb = false;
-  } else {
-    std::cerr << "unknown --absorb=" << raw << " (want parallel or serial)\n";
-    return false;
-  }
-  return true;
 }
 
 // --mode=scan|exists|index -> the FindShapes query plan.
@@ -397,16 +382,11 @@ int CmdCheck(const Args& args) {
               << "  t-total: " << timer.ElapsedMillis() << " ms\n";
   } else if (mode == "l") {
     LCheckOptions options;
-    // One knob drives both parallel components: the db-dependent FindShapes
-    // and the dynamic-simplification worklist.
-    unsigned threads = 1;
-    if (!ParseThreads(args, &threads)) return 2;
-    options.shape_threads = threads;
-    options.simplify_threads = threads;
+    if (!ParseThreads(args, &options.threads)) return 2;
     const std::string shapes_flag = args.Get("shapes", "mem");
     std::optional<index::ShardedShapeIndex> shape_index;
     if (shapes_flag == "db") {
-      options.shape_finder = storage::ShapeFinderMode::kInDatabase;
+      options.shape_finder = storage::ShapeFinderMode::kExists;
     } else if (shapes_flag == "index") {
       // The Section 10 deployment: shape(D) comes from the materialized
       // index — loaded from a snapshot when given, built once otherwise.
@@ -442,7 +422,7 @@ int CmdCheck(const Args& args) {
       }
       options.shape_index = &*shape_index;
     } else if (shapes_flag == "mem") {
-      options.shape_finder = storage::ShapeFinderMode::kInMemory;
+      options.shape_finder = storage::ShapeFinderMode::kScan;
     } else {
       std::cerr << "unknown --shapes=" << shapes_flag
                 << " (want mem, db, or index)\n";
@@ -748,9 +728,8 @@ int CmdFindShapes(const Args& args) {
     std::cerr << "usage: chasectl findshapes <file> "
                  "[--backend=memory|disk|index] [--mode=scan|exists|index] "
                  "[--threads=N] [--shards=N] [--pool-shards=N] "
-                 "[--prefetch=K] [--absorb=parallel|serial] "
-                 "[--snapshot=path.chidx] [--store=path.db] [--trace=FILE] "
-                 "[--metrics=FILE] [--print]\n";
+                 "[--prefetch=K] [--snapshot=path.chidx] [--store=path.db] "
+                 "[--trace=FILE] [--metrics=FILE] [--print]\n";
     return 2;
   }
   ObsSession obs_session;
@@ -788,7 +767,6 @@ int CmdFindShapes(const Args& args) {
   if (!ParsePoolShards(args, &pool_shards)) return 2;
   if (!ParseFinderMode(args, &options.mode)) return 2;
   if (!ParseThreads(args, &options.threads)) return 2;
-  if (!ParseAbsorb(args, &options.parallel_absorb)) return 2;
 
   std::string backend = args.Get("backend", "memory");
   if (backend == "index") {
@@ -1025,7 +1003,8 @@ int CmdZoo(const Args& args) {
 int CmdGenerate(const Args& args) {
   if (args.positional.empty()) {
     std::cerr << "usage: chasectl generate <out> [--preds=N] [--tgds=N] "
-                 "[--tuples=N] [--arity=N] [--class=sl|l] [--seed=N]\n";
+                 "[--tuples=N] [--arity=N] [--domain=N] [--class=sl|l] "
+                 "[--seed=N]\n";
     return 2;
   }
   // Schema::kMaxArity bounds arity; the other caps only keep pathological
@@ -1161,10 +1140,10 @@ int Usage() {
       "chasectl — semi-oblivious chase termination toolkit\n"
       "\n"
       "  chasectl check <file> [--mode=sl|l] [--shapes=mem|db|index] "
-      "[--threads=N]\n"
+      "[--threads=N] [--snapshot=path.chidx]\n"
       "  chasectl explain <file>               (non-termination witness)\n"
       "  chasectl chase <file> [--variant=so|ob|re] [--max-atoms=N] "
-      "[--max-rounds=N] [--threads=N] [--checkpoint=FILE] "
+      "[--max-rounds=N] [--threads=N] [--hom-budget=N] [--checkpoint=FILE] "
       "[--checkpoint-every=N] [--resume=FILE] [--progress[=SECS]] "
       "[--metrics-interval=SECS] [--print]\n"
       "  chasectl simplify <file> [--mode=scan|exists|index] [--threads=N] "
@@ -1172,15 +1151,15 @@ int Usage() {
       "  chasectl query <file> \"q(X) :- r(X, Y).\"\n"
       "  chasectl findshapes <file> [--backend=memory|disk|index] "
       "[--mode=scan|exists|index] [--threads=N] [--shards=N] "
-      "[--pool-shards=N] [--prefetch=K] [--absorb=parallel|serial] "
-      "[--snapshot=path.chidx] [--store=path.db] [--print]\n"
+      "[--pool-shards=N] [--prefetch=K] [--snapshot=path.chidx] "
+      "[--store=path.db] [--print]\n"
       "  chasectl index build <file> <out.chidx> [--backend=memory|disk] "
-      "[--threads=N] [--shards=N]\n"
+      "[--threads=N] [--shards=N] [--store=path.db]\n"
       "  chasectl index stat <snapshot.chidx>\n"
       "  chasectl stats <file>\n"
       "  chasectl zoo <file>\n"
       "  chasectl generate <out> [--preds=N] [--tgds=N] [--tuples=N] "
-      "[--arity=N] [--class=sl|l] [--seed=N]\n"
+      "[--arity=N] [--domain=N] [--class=sl|l] [--seed=N]\n"
       "  chasectl graph <file> [--all-nodes]   (Graphviz dot on stdout)\n"
       "  chasectl normalize <in> <out>         (eliminate empty frontiers)\n"
       "  chasectl convert <in> <out>\n"
@@ -1195,25 +1174,60 @@ int Usage() {
   return 2;
 }
 
+// One row per subcommand: its handler and every --flag it accepts. main
+// rejects any other flag before dispatch, so a typo (--thread=4) or a
+// retired option is a diagnosed exit 2, not a silently ignored default.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"check", CmdCheck,
+       {"mode", "shapes", "threads", "snapshot", "trace", "metrics"}},
+      {"explain", CmdExplain, {}},
+      {"chase", CmdChase,
+       {"variant", "max-atoms", "max-rounds", "threads", "hom-budget",
+        "checkpoint", "checkpoint-every", "resume", "progress",
+        "metrics-interval", "print", "trace", "metrics"}},
+      {"simplify", CmdSimplify,
+       {"mode", "threads", "print", "trace", "metrics"}},
+      {"query", CmdQuery, {}},
+      {"findshapes", CmdFindShapes,
+       {"backend", "mode", "threads", "shards", "pool-shards", "prefetch",
+        "snapshot", "store", "print", "trace", "metrics"}},
+      {"index", CmdIndex, {"backend", "threads", "shards", "store"}},
+      {"stats", CmdStats, {}},
+      {"zoo", CmdZoo, {}},
+      {"generate", CmdGenerate,
+       {"preds", "tgds", "tuples", "arity", "domain", "class", "seed"}},
+      {"graph", CmdGraph, {"all-nodes"}},
+      {"normalize", CmdNormalize, {}},
+      {"convert", CmdConvert, {}},
+  };
+  return commands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
   if (argc < 2) return Usage();
-  const std::string command = argv[1];
-  const Args args = Args::Parse(argc, argv, 2);
-  if (command == "check") return CmdCheck(args);
-  if (command == "explain") return CmdExplain(args);
-  if (command == "chase") return CmdChase(args);
-  if (command == "simplify") return CmdSimplify(args);
-  if (command == "query") return CmdQuery(args);
-  if (command == "findshapes") return CmdFindShapes(args);
-  if (command == "index") return CmdIndex(args);
-  if (command == "stats") return CmdStats(args);
-  if (command == "zoo") return CmdZoo(args);
-  if (command == "generate") return CmdGenerate(args);
-  if (command == "graph") return CmdGraph(args);
-  if (command == "normalize") return CmdNormalize(args);
-  if (command == "convert") return CmdConvert(args);
+  const std::string_view name = argv[1];
+  for (const Command& command : Commands()) {
+    if (command.name != name) continue;
+    const Args args = Args::Parse(argc, argv, 2);
+    for (const auto& [flag, value] : args.flags) {
+      if (std::find(command.flags.begin(), command.flags.end(), flag) ==
+          command.flags.end()) {
+        std::cerr << "unknown flag --" << flag << " for chasectl " << name
+                  << "\n";
+        return 2;
+      }
+    }
+    return command.run(args);
+  }
   return Usage();
 } catch (const std::exception& e) {
   // Backstop: a CLI must never die by uncaught exception (flag validation
