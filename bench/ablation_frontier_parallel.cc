@@ -20,9 +20,9 @@
 // (per-depth overhead) measures a condvar cycle instead of the thread
 // spawn+join every depth used to pay.
 //
-// NOTE: this container is single-core, so wall-clock parallel gains don't
-// show here — the expansion counters do (same caveat as
-// ablation_pool_sharding), and the us-depth column is counter-based
+// NOTE: on a single core, wall-clock parallel gains don't show — the
+// expansion counters do (same caveat as ablation_disk_scan_threads), and
+// the us-depth column is counter-based
 // per-depth overhead, not a parallelism measurement. Every configuration
 // is checked bit-identical against the serial oracle before its row is
 // emitted.

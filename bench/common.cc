@@ -165,7 +165,7 @@ std::string FmtMs(double ms) { return Fmt(ms, 2); }
 
 std::vector<std::string> AccessColumnNames() {
   return {"exists-q", "rel-loads", "tuples-scanned", "pages-read",
-          "pool-hit%", "prefetched"};
+          "pool-hit%"};
 }
 
 std::vector<std::string> AccessColumnValues(const storage::AccessStats& access,
@@ -180,8 +180,7 @@ std::vector<std::string> AccessColumnValues(const storage::AccessStats& access,
               ? "-"
               : Fmt(100.0 * static_cast<double>(io.pool_hits) /
                         static_cast<double>(pool_accesses),
-                    1) + "%",
-          avg(io.pool_prefetches)};
+                    1) + "%"};
 }
 
 bool WriteBenchJson(const BenchFlags& flags, const std::string& name,

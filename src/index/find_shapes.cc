@@ -27,9 +27,6 @@ StatusOr<std::vector<Shape>> FindShapes(
   // Same metering as storage::FindShapes: publish this run's access-stats
   // delta on every exit path.
   storage::ScopedAccessStatsMirror stats_mirror(source);
-  // The index build consumes whole ranges, so read-ahead pays off — mirror
-  // the scan plan's configuration.
-  source.ConfigureReadAhead(options.prefetch);
   CHASE_ASSIGN_OR_RETURN(
       ShardedShapeIndex idx,
       ShardedShapeIndex::Build(source,

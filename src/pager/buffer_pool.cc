@@ -146,9 +146,8 @@ StatusOr<PageGuard> BufferPool::Fetch(PageId page_id) {
     ++shard.stats.misses;
   }
   CountPoolMiss();
-  // Miss: read outside the latch (like Prefetch), so concurrent faults on
-  // different pages of one shard overlap their I/O instead of serializing
-  // behind the latch.
+  // Miss: read outside the latch, so concurrent faults on different pages
+  // of one shard overlap their I/O instead of serializing behind the latch.
   obs::TraceSpan fault_span("pager", "fault", "page",
                             static_cast<int64_t>(page_id));
   Page staged;
@@ -161,7 +160,7 @@ StatusOr<PageGuard> BufferPool::Fetch(PageId page_id) {
       [&]() NO_THREAD_SAFETY_ANALYSIS -> std::optional<PageGuard> {
         auto it = shard.page_table.find(page_id);
         if (it == shard.page_table.end()) return std::nullopt;
-        // A peer fetch or prefetch won the race; the staged read is
+        // A peer fetch won the race; the staged read is
         // wasted, the resident frame is the one to pin.
         Frame& frame = shard.frames[it->second];
         ++frame.pin_count;
@@ -206,54 +205,6 @@ StatusOr<PageGuard> BufferPool::Allocate() {
         shard.page_table[page_id] = slot;
         return PageGuard(this, page_id, slot);
       });
-}
-
-Status BufferPool::Prefetch(PageId page_id) {
-  Shard& shard = *shards_[ShardOf(page_id)];
-  {
-    MutexLock lock(shard.mu);
-    auto it = shard.page_table.find(page_id);
-    if (it != shard.page_table.end()) {
-      // Already resident: refresh the reference bit so the clock keeps it.
-      shard.frames[it->second].referenced = true;
-      ++shard.stats.prefetch_drops;
-      return OkStatus();
-    }
-  }
-  // Read outside the latch so foreground Fetches on this shard are not
-  // blocked behind our I/O.
-  obs::TraceSpan prefetch_span("pager", "prefetch", "page",
-                               static_cast<int64_t>(page_id));
-  Page staged;
-  CHASE_RETURN_IF_ERROR(disk_->ReadPage(page_id, &staged));
-  MutexLock lock(shard.mu);
-  if (shard.page_table.count(page_id) > 0) {
-    // A concurrent Fetch won the race; the staged read is wasted but the
-    // pool state is already what we wanted.
-    ++shard.stats.prefetch_drops;
-    return OkStatus();
-  }
-  auto slot = AcquireFrame(&shard);
-  if (!slot.ok()) {
-    if (slot.status().code() != StatusCode::kResourceExhausted) {
-      // A dirty victim's write-back failed — a real I/O error, not
-      // back-pressure.
-      return slot.status();
-    }
-    // Every frame pinned: read-ahead simply has nowhere to land. Not an
-    // error for a best-effort prefetch.
-    ++shard.stats.prefetch_drops;
-    return OkStatus();
-  }
-  Frame& frame = shard.frames[*slot];
-  frame.page = staged;
-  frame.page_id = page_id;
-  frame.pin_count = 0;
-  frame.dirty = false;
-  frame.referenced = true;
-  shard.page_table[page_id] = *slot;
-  ++shard.stats.prefetches;
-  return OkStatus();
 }
 
 Status BufferPool::Flush() {

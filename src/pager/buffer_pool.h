@@ -18,11 +18,6 @@
 // scans never mutate it). Frames are divided evenly across shards; a shard
 // whose frames are all pinned reports kResourceExhausted even if another
 // shard has free frames — size pools with at least a few frames per shard.
-//
-// Prefetch(page_id) faults a page into its shard without pinning it: the
-// disk read happens outside the shard latch (into a scratch buffer), so
-// background read-ahead threads overlap I/O with the scan threads' hashing
-// work instead of blocking them.
 
 #ifndef CHASE_PAGER_BUFFER_POOL_H_
 #define CHASE_PAGER_BUFFER_POOL_H_
@@ -46,8 +41,6 @@ struct BufferPoolStats {
   uint64_t misses = 0;
   uint64_t evictions = 0;
   uint64_t dirty_writebacks = 0;
-  uint64_t prefetches = 0;       // pages faulted in by Prefetch
-  uint64_t prefetch_drops = 0;   // Prefetch calls that found nothing to do
 
   void Reset() { *this = BufferPoolStats(); }
 
@@ -56,8 +49,6 @@ struct BufferPoolStats {
     misses += other.misses;
     evictions += other.evictions;
     dirty_writebacks += other.dirty_writebacks;
-    prefetches += other.prefetches;
-    prefetch_drops += other.prefetch_drops;
     return *this;
   }
 };
@@ -112,27 +103,16 @@ class BufferPool {
 
   // Pins the page, reading it from disk on a miss. Miss reads are staged
   // outside the shard latch so concurrent faults on one shard overlap
-  // their I/O; like Prefetch, this means Fetch must not race with a
-  // writer of the same page (see the contract on Prefetch — write phases
-  // and scan phases alternate in every current deployment).
+  // their I/O. Contract: Fetch must not race with a writer of the same
+  // page. The unlatched read cannot tell a concurrent mutate+evict apart
+  // from the quiescent case and would install the pre-write image as a
+  // clean frame; write phases and scan phases alternate in every current
+  // deployment, and a writer-concurrent one needs page versioning here.
   [[nodiscard]] StatusOr<PageGuard> Fetch(PageId page_id);
 
   // Allocates a fresh page on disk and pins it (already counted dirty so the
   // header written by the caller reaches disk).
   [[nodiscard]] StatusOr<PageGuard> Allocate();
-
-  // Faults `page_id` into its shard without pinning it — the read-ahead
-  // path. The disk read runs outside the shard latch; if the page arrived
-  // meanwhile (or is already resident) the call is a cheap no-op. Errors
-  // are real I/O failures; callers doing best-effort read-ahead may ignore
-  // them (the foreground Fetch will surface the same error).
-  //
-  // Contract: must not race with writers of the same page. The unlatched
-  // read cannot tell a concurrent mutate+evict apart from the quiescent
-  // case and would re-install the pre-write image as a clean frame. The
-  // scan drivers that use it are read-only; a future writer-concurrent
-  // deployment needs page versioning here.
-  [[nodiscard]] Status Prefetch(PageId page_id);
 
   // Writes back all dirty frames and syncs the file.
   [[nodiscard]] Status Flush();

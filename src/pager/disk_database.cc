@@ -22,13 +22,12 @@ constexpr uint32_t kCatalogPayload = kPageSize - kPageHeaderSize;
 }  // namespace
 
 StatusOr<std::unique_ptr<DiskDatabase>> DiskDatabase::Create(
-    const std::string& path, const Database& db, uint32_t num_frames,
-    uint32_t pool_shards) {
+    const std::string& path, const Database& db, uint32_t num_frames) {
   CHASE_ASSIGN_OR_RETURN(DiskManager manager, DiskManager::Create(path));
   auto disk_db = std::unique_ptr<DiskDatabase>(new DiskDatabase());
   disk_db->disk_ = std::make_unique<DiskManager>(std::move(manager));
-  disk_db->pool_ = std::make_unique<BufferPool>(disk_db->disk_.get(),
-                                                num_frames, pool_shards);
+  disk_db->pool_ =
+      std::make_unique<BufferPool>(disk_db->disk_.get(), num_frames);
 
   const Schema& schema = db.schema();
   for (PredId pred = 0; pred < schema.NumPredicates(); ++pred) {
@@ -60,12 +59,12 @@ StatusOr<std::unique_ptr<DiskDatabase>> DiskDatabase::Create(
 }
 
 StatusOr<std::unique_ptr<DiskDatabase>> DiskDatabase::Open(
-    const std::string& path, uint32_t num_frames, uint32_t pool_shards) {
+    const std::string& path, uint32_t num_frames) {
   CHASE_ASSIGN_OR_RETURN(DiskManager manager, DiskManager::Open(path));
   auto disk_db = std::unique_ptr<DiskDatabase>(new DiskDatabase());
   disk_db->disk_ = std::make_unique<DiskManager>(std::move(manager));
-  disk_db->pool_ = std::make_unique<BufferPool>(disk_db->disk_.get(),
-                                                num_frames, pool_shards);
+  disk_db->pool_ =
+      std::make_unique<BufferPool>(disk_db->disk_.get(), num_frames);
   CHASE_RETURN_IF_ERROR(disk_db->LoadCatalog());
   return disk_db;
 }
@@ -143,7 +142,15 @@ Status DiskDatabase::SaveCatalog() {
 Status DiskDatabase::LoadCatalog() {
   std::vector<uint8_t> bytes;
   PageId current = 0;
-  while (current != kInvalidPageId) {
+  for (uint64_t hops = 0; current != kInvalidPageId; ++hops) {
+    // Each page appears once in the chain; more hops than the file has
+    // pages means a `next` pointer loops.
+    if (hops >= disk_->num_pages()) {
+      return InternalError("catalog chain loops: page " +
+                           std::to_string(current) + " reached after " +
+                           std::to_string(hops) + " pages in a file of " +
+                           std::to_string(disk_->num_pages()));
+    }
     CHASE_ASSIGN_OR_RETURN(PageGuard guard, pool_->Fetch(current));
     const Page& page = guard.page();
     PageHeader header = ReadPageHeader(page);

@@ -44,11 +44,20 @@ class HeapFile {
   [[nodiscard]] Status Scan(
       const std::function<bool(std::span<const uint32_t>)>& visit) const;
 
-  // Visits at most `num_rows` tuples starting from `skip_rows` tuples after
-  // the beginning of `start_page` (which must be a page of this chain).
+  // Visits `num_rows` tuples starting from `skip_rows` tuples after the
+  // beginning of `start_page` (which must be a page of this chain); a
+  // chain that ends first is an InternalError. Stops early (and returns
+  // OK) when `visit` returns false.
   // With `start_page` = first_page() and `skip_rows` counted from the head,
   // this is a plain row-range scan; callers holding a page directory (see
   // CollectPageIds) jump straight to `skip_rows / TuplesPerPage(arity)`.
+  //
+  // Page headers are not covered by the page checksum, so every chain walk
+  // (scans, CollectPageIds, Append's tail fetch) validates each header it
+  // reads: a non-heap page, a `count` larger than TuplesPerPage(arity) or,
+  // on a page with a successor, different from it, or a walk longer than
+  // the file has pages (a `next` that loops) is an InternalError naming the
+  // page.
   [[nodiscard]] Status ScanFrom(
       PageId start_page, uint64_t skip_rows, uint64_t num_rows,
       const std::function<bool(std::span<const uint32_t>)>& visit) const;
@@ -68,6 +77,11 @@ class HeapFile {
   static uint32_t TuplesPerPage(uint32_t arity);
 
  private:
+  // Validates the header of `page`, reached after `hops` earlier pages of
+  // a chain walk (see ScanFrom).
+  [[nodiscard]] Status CheckChainPage(PageId page, uint64_t hops,
+                                      const PageHeader& header) const;
+
   BufferPool* pool_ = nullptr;
   uint32_t arity_ = 0;
   PageId first_page_ = kInvalidPageId;

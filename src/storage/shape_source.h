@@ -44,7 +44,6 @@ struct IoCounters {
   uint64_t pages_written = 0;
   uint64_t pool_hits = 0;
   uint64_t pool_misses = 0;
-  uint64_t pool_prefetches = 0;  // pages faulted in by background read-ahead
 
   // The delta against an earlier snapshot of the same store — how benches
   // and the CLI meter one run out of the cumulative totals.
@@ -54,7 +53,6 @@ struct IoCounters {
     delta.pages_written = pages_written - before.pages_written;
     delta.pool_hits = pool_hits - before.pool_hits;
     delta.pool_misses = pool_misses - before.pool_misses;
-    delta.pool_prefetches = pool_prefetches - before.pool_prefetches;
     return delta;
   }
 };
@@ -99,15 +97,6 @@ class ShapeSource {
 
   // Physical I/O metering; zeros for backends that do no I/O.
   virtual IoCounters Io() const { return {}; }
-
-  // Sets the scan read-ahead depth in pages (0 = off) for backends that can
-  // overlap their page faults with the caller's compute; a no-op for
-  // backends without physical I/O. FindShapes applies its options.prefetch
-  // through this, so the knob of the run in progress always wins. Like
-  // stats(), this is per-source run state: concurrent FindShapes runs over
-  // one source share it (and smear each other's metering) — use one source
-  // per logical run.
-  virtual void ConfigureReadAhead(unsigned /*depth*/) const {}
 };
 
 // Visits every tuple of `preds` with a work-partitioned scan: relations are

@@ -66,8 +66,6 @@ TEST_F(ChasectlCliTest, MalformedNumericFlagsExitTwo) {
       "simplify " + file + " --threads=%s",
       "findshapes " + file + " --threads=%s",
       "findshapes " + file + " --shards=%s",
-      "findshapes " + file + " --pool-shards=%s",
-      "findshapes " + file + " --prefetch=%s",
       "index build " + file + " " + out_idx + " --threads=%s",
       "index build " + file + " " + out_idx + " --shards=%s",
       "generate " + out_gen + " --preds=%s",
@@ -143,6 +141,8 @@ TEST_F(ChasectlCliTest, UnknownFlagsExitTwo) {
            "stats " + file + " --print",
            "zoo " + file + " --threads=2",
            "graph " + file + " --all-node",
+           "findshapes " + file + " --prefetch=8",
+           "findshapes " + file + " --pool-shards=4",
        }) {
     EXPECT_EQ(RunChasectl(args), 2) << args;
   }

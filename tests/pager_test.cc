@@ -1,7 +1,10 @@
 #include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,7 +18,6 @@
 #include "pager/disk_shape_source.h"
 #include "pager/heap_file.h"
 #include "pager/page.h"
-#include "pager/prefetcher.h"
 #include "storage/catalog.h"
 #include "storage/shape_finder.h"
 #include "storage/shape_source.h"
@@ -465,195 +467,6 @@ TEST(BufferPoolShardingTest, StressMoreThreadsThanFrames) {
 }
 
 // ---------------------------------------------------------------------------
-// Prefetch
-
-TEST(PrefetchTest, PrefetchFaultsPagesWithoutPinning) {
-  const std::string path = TempPath("pf_nopin.db");
-  PageId id = kInvalidPageId;
-  {
-    auto manager = DiskManager::Create(path);
-    ASSERT_TRUE(manager.ok());
-    BufferPool pool(&manager.value(), 4);
-    auto guard = pool.Allocate();
-    ASSERT_TRUE(guard.ok());
-    id = guard->page_id();
-    Page& page = guard->MutablePage();
-    WritePageHeader(&page, PageHeader{});
-    page.WriteU32(kPageHeaderSize, 4242);
-    guard->Release();
-    ASSERT_TRUE(pool.Flush().ok());
-  }
-  auto manager = DiskManager::Open(path);
-  ASSERT_TRUE(manager.ok());
-  BufferPool pool(&manager.value(), 4);  // cold
-  ASSERT_TRUE(pool.Prefetch(id).ok());
-  EXPECT_EQ(pool.pinned_frames(), 0u);
-  EXPECT_EQ(pool.stats().prefetches, 1u);
-  EXPECT_EQ(pool.stats().misses, 0u);
-
-  auto guard = pool.Fetch(id);
-  ASSERT_TRUE(guard.ok());
-  EXPECT_EQ(guard->page().ReadU32(kPageHeaderSize), 4242u);
-  EXPECT_EQ(pool.stats().hits, 1u);
-  EXPECT_EQ(pool.stats().misses, 0u);
-
-  // Re-prefetching a resident page is a cheap no-op.
-  ASSERT_TRUE(pool.Prefetch(id).ok());
-  EXPECT_EQ(pool.stats().prefetches, 1u);
-  EXPECT_EQ(pool.stats().prefetch_drops, 1u);
-}
-
-TEST(PrefetchTest, BackgroundPrefetcherWarmsColdPool) {
-  const std::string path = TempPath("pf_warm.db");
-  std::vector<PageId> pages;
-  {
-    auto manager = DiskManager::Create(path);
-    ASSERT_TRUE(manager.ok());
-    BufferPool pool(&manager.value(), 8);
-    for (int i = 0; i < 6; ++i) {
-      auto guard = pool.Allocate();
-      ASSERT_TRUE(guard.ok());
-      WritePageHeader(&guard->MutablePage(), PageHeader{});
-      pages.push_back(guard->page_id());
-    }
-    ASSERT_TRUE(pool.Flush().ok());
-  }
-  auto manager = DiskManager::Open(path);
-  ASSERT_TRUE(manager.ok());
-  BufferPool pool(&manager.value(), 16, 4);
-  {
-    Prefetcher prefetcher(&pool, /*threads=*/2);
-    prefetcher.Enqueue(pages);
-    // Wait for the queue to drain: every page either prefetched or dropped.
-    while (pool.stats().prefetches + pool.stats().prefetch_drops <
-           pages.size()) {
-      std::this_thread::yield();
-    }
-  }  // destructor joins the workers
-  EXPECT_EQ(pool.stats().prefetches, pages.size());
-  for (PageId id : pages) {
-    ASSERT_TRUE(pool.Fetch(id).ok());
-  }
-  const BufferPoolStats stats = pool.stats();
-  EXPECT_EQ(stats.hits, pages.size());
-  EXPECT_EQ(stats.misses, 0u);
-}
-
-// Regression for the Enqueue wakeup path: per-page enqueues (the shape of
-// every ranged scan's read-ahead, which now wake one worker per admitted
-// page instead of notify_all), a full queue (admits nothing, wakes nobody,
-// counts drops), and the Drain handshake must all keep working.
-TEST(PrefetchTest, PerPageEnqueueAndFullQueueDrops) {
-  const std::string path = TempPath("pf_notify.db");
-  std::vector<PageId> pages;
-  {
-    auto manager = DiskManager::Create(path);
-    ASSERT_TRUE(manager.ok());
-    BufferPool pool(&manager.value(), 8);
-    for (int i = 0; i < 6; ++i) {
-      auto guard = pool.Allocate();
-      ASSERT_TRUE(guard.ok());
-      WritePageHeader(&guard->MutablePage(), PageHeader{});
-      pages.push_back(guard->page_id());
-    }
-    ASSERT_TRUE(pool.Flush().ok());
-  }
-  auto manager = DiskManager::Open(path);
-  ASSERT_TRUE(manager.ok());
-  BufferPool pool(&manager.value(), 16, 4);
-  Prefetcher prefetcher(&pool, /*threads=*/2);
-  for (PageId id : pages) prefetcher.Enqueue(id);  // one wakeup per page
-  prefetcher.Drain();
-  EXPECT_EQ(pool.stats().prefetches + pool.stats().prefetch_drops,
-            pages.size());
-  EXPECT_EQ(prefetcher.dropped(), 0u);
-  for (PageId id : pages) {
-    ASSERT_TRUE(pool.Fetch(id).ok());
-  }
-
-  // Flood past kMaxQueue in one call: the excess is counted as dropped and
-  // the drain handshake still completes (the admitted prefix is best-effort
-  // work the workers chew through; duplicates collapse inside the pool).
-  std::vector<PageId> flood(Prefetcher::kMaxQueue + 100, pages[0]);
-  prefetcher.Enqueue(flood);
-  prefetcher.Drain();
-  EXPECT_GE(prefetcher.dropped(), 100u);
-}
-
-// Cold-pool scans must return identical results and tuple counts with
-// read-ahead on and off, at every thread count.
-TEST(PrefetchTest, ScanWithReadAheadMatchesPrefetchOff) {
-  // Relations several times larger than the pool, so pages cannot stay
-  // resident between the directory build and the scan — every page is a
-  // real fault the prefetcher can take over.
-  GeneratedData data = MakeData(3, 20000, 77);
-  const std::vector<Shape> expected = MemoryShapes(*data.database);
-
-  const std::string path = TempPath("pf_scan_equality.db");
-  ASSERT_TRUE(DiskDatabase::Create(path, *data.database).ok());
-  for (unsigned threads : {1u, 4u, 8u}) {
-    for (unsigned prefetch : {0u, 8u}) {
-      // Fresh open per run: the pool starts cold.
-      auto disk_db = DiskDatabase::Open(path, /*num_frames=*/32,
-                                        /*pool_shards=*/4);
-      ASSERT_TRUE(disk_db.ok()) << disk_db.status();
-      DiskShapeSource source(disk_db->get());
-      auto shapes = storage::FindShapes(
-          source, {storage::ShapeFinderMode::kScan, threads, 0, prefetch});
-      ASSERT_TRUE(shapes.ok()) << shapes.status();
-      EXPECT_EQ(*shapes, expected)
-          << "threads " << threads << ", prefetch " << prefetch;
-      EXPECT_EQ(source.stats().tuples_scanned, data.database->TotalFacts());
-      if (prefetch > 0) {
-        // The scan enqueued read-ahead; the background workers drain it on
-        // their own schedule (on a loaded single-core machine possibly only
-        // once we yield here), and every request either faults a page or
-        // collapses against a resident one.
-        const BufferPool& pool = (*disk_db)->buffer_pool();
-        const auto processed = [&] {
-          const BufferPoolStats stats = pool.stats();
-          return stats.prefetches + stats.prefetch_drops;
-        };
-        const auto deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(30);
-        while (processed() == 0 &&
-               std::chrono::steady_clock::now() < deadline) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        EXPECT_GT(processed(), 0u)
-            << "threads " << threads << ": no read-ahead was processed";
-      } else {
-        EXPECT_EQ(source.Io().pool_prefetches, 0u);
-      }
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(PrefetchTest, FindShapesOwnsTheReadAheadKnob) {
-  GeneratedData data = MakeData(2, 50, 5);
-  const std::string path = TempPath("pf_knob.db");
-  auto disk_db = DiskDatabase::Create(path, *data.database);
-  ASSERT_TRUE(disk_db.ok());
-  DiskShapeSource source(disk_db->get(), /*read_ahead=*/16);
-  EXPECT_EQ(source.read_ahead(), 16u);
-  // A run with prefetch unset turns read-ahead off for that run (and
-  // leaves the source with the run's setting, by design).
-  ASSERT_TRUE(storage::FindShapes(source, {}).ok());
-  EXPECT_EQ(source.read_ahead(), 0u);
-  ASSERT_TRUE(storage::FindShapes(
-                  source, {storage::ShapeFinderMode::kScan, 2, 0, 4})
-                  .ok());
-  EXPECT_EQ(source.read_ahead(), 4u);
-  // The exists plan's probes early-exit; its runs never enable read-ahead.
-  ASSERT_TRUE(storage::FindShapes(
-                  source, {storage::ShapeFinderMode::kExists, 1, 0, 8})
-                  .ok());
-  EXPECT_EQ(source.read_ahead(), 0u);
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
 // HeapFile
 
 TEST(HeapFileTest, TuplesPerPageLeavesRoomForHeader) {
@@ -923,6 +736,221 @@ TEST(DiskShapeFinderTest, ExistsModeLosesWhenQueriesComeUpEmpty) {
   auto [scan_reads, exists_reads] =
       MeasureFinderReads(db, TempPath("dsf_empty.db"));
   EXPECT_GT(exists_reads, scan_reads);
+}
+
+// ---------------------------------------------------------------------------
+// Disk database corruption. Page headers sit outside the page checksum, so
+// every header field a reader trusts is checked on its own.
+
+// A closed two-relation database file whose heap chains span three pages
+// each: r/2 (2500 tuples, 1021 per page) and s/3 (1500 tuples, 680 per
+// page), with several shapes per relation so the exists plan probes past
+// the first page.
+struct CorruptionFixture {
+  std::string path;
+  std::vector<PageId> r_pages;  // heap chain of r, in order
+  std::vector<PageId> s_pages;  // heap chain of s, in order
+  PageId num_pages = 0;
+};
+
+CorruptionFixture MakeCorruptionFixture(const std::string& name) {
+  Schema schema;
+  const PredId r = schema.AddPredicate("r", 2).value();
+  const PredId s = schema.AddPredicate("s", 3).value();
+  Database db(&schema);
+  db.EnsureAnonymousDomain(10000);
+  for (uint32_t i = 0; i < 2500; ++i) {
+    const std::vector<uint32_t> tuple = {i, i % 3 == 0 ? i : i + 1};
+    EXPECT_TRUE(db.AddFact(r, tuple).ok());
+  }
+  for (uint32_t i = 0; i < 1500; ++i) {
+    const std::vector<uint32_t> tuple = {i, i % 2 == 0 ? i : i + 1,
+                                         i % 5 == 0 ? i : i + 2};
+    EXPECT_TRUE(db.AddFact(s, tuple).ok());
+  }
+  CorruptionFixture fixture;
+  fixture.path = TempPath(name);
+  auto disk_db = DiskDatabase::Create(fixture.path, db);
+  EXPECT_TRUE(disk_db.ok()) << disk_db.status();
+  EXPECT_TRUE((*disk_db)->relation(r).CollectPageIds(&fixture.r_pages).ok());
+  EXPECT_TRUE((*disk_db)->relation(s).CollectPageIds(&fixture.s_pages).ok());
+  EXPECT_EQ(fixture.r_pages.size(), 3u);
+  EXPECT_EQ(fixture.s_pages.size(), 3u);
+  fixture.num_pages = (*disk_db)->disk().num_pages();
+  return fixture;
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good()) << path;
+}
+
+// Overwrites the 32-bit header field at `offset` of `page` in a closed file.
+void PatchHeaderU32(const std::string& path, PageId page, uint32_t offset,
+                    uint32_t value) {
+  std::string bytes = ReadFileBytes(path);
+  ASSERT_GE(bytes.size(), (uint64_t{page} + 1) * kPageSize);
+  std::memcpy(bytes.data() + uint64_t{page} * kPageSize + offset, &value,
+              sizeof(value));
+  WriteFileBytes(path, bytes);
+}
+
+constexpr uint32_t kNextOffset = offsetof(PageHeader, next);
+constexpr uint32_t kCountOffset = offsetof(PageHeader, count);
+
+TEST(DiskCorruptionTest, HeapCountPastPageCapacityIsRejected) {
+  const CorruptionFixture fixture =
+      MakeCorruptionFixture("corrupt_count.db");
+  // r's first page is full; one tuple more than fits would make a scan
+  // read past the end of the 8 KiB page.
+  const PageId page = fixture.r_pages[0];
+  PatchHeaderU32(fixture.path, page, kCountOffset,
+                 HeapFile::TuplesPerPage(2) + 1);
+  auto disk_db = DiskDatabase::Open(fixture.path);
+  ASSERT_TRUE(disk_db.ok()) << disk_db.status();
+  const Status scan =
+      (*disk_db)->Scan(0, [](std::span<const uint32_t>) { return true; });
+  EXPECT_EQ(scan.code(), StatusCode::kInternal);
+  EXPECT_NE(scan.message().find("heap page " + std::to_string(page)),
+            std::string::npos)
+      << scan;
+  std::vector<PageId> pages;
+  EXPECT_EQ((*disk_db)->relation(0).CollectPageIds(&pages).code(),
+            StatusCode::kInternal);
+  for (unsigned threads : {1u, 2u}) {
+    DiskShapeSource source(disk_db->get());
+    EXPECT_FALSE(storage::FindShapes(
+                     source, {.mode = storage::ShapeFinderMode::kScan,
+                              .threads = threads})
+                     .ok())
+        << "threads " << threads;
+  }
+  std::remove(fixture.path.c_str());
+}
+
+// Not a parent-commit regression test: without the header check, this
+// Append writes past the end of the tail page's frame.
+TEST(DiskCorruptionTest, AppendRejectsOverfullTailPage) {
+  const CorruptionFixture fixture =
+      MakeCorruptionFixture("corrupt_tail_count.db");
+  PatchHeaderU32(fixture.path, fixture.r_pages.back(), kCountOffset,
+                 HeapFile::TuplesPerPage(2) + 1);
+  auto disk_db = DiskDatabase::Open(fixture.path);
+  ASSERT_TRUE(disk_db.ok()) << disk_db.status();
+  const std::vector<uint32_t> tuple = {1, 2};
+  EXPECT_EQ((*disk_db)->Append(0, tuple).code(), StatusCode::kInternal);
+  std::remove(fixture.path.c_str());
+}
+
+// A `next` pointing back into its own chain must end the walk with an
+// error instead of looping (and growing the page directory) forever.
+TEST(DiskCorruptionTest, HeapChainCycleIsRejected) {
+  const CorruptionFixture fixture =
+      MakeCorruptionFixture("corrupt_heap_cycle.db");
+  // Both pages of the loop are full, so only the hop bound can end it.
+  PatchHeaderU32(fixture.path, fixture.r_pages[1], kNextOffset,
+                 fixture.r_pages[0]);
+  auto disk_db = DiskDatabase::Open(fixture.path);
+  ASSERT_TRUE(disk_db.ok()) << disk_db.status();
+  std::vector<PageId> pages;
+  const Status walk = (*disk_db)->relation(0).CollectPageIds(&pages);
+  EXPECT_EQ(walk.code(), StatusCode::kInternal);
+  EXPECT_NE(walk.message().find("loops"), std::string::npos) << walk;
+  EXPECT_LE(pages.size(), fixture.num_pages);
+  // The threaded scan plan seeks through the page directory, which is
+  // built by that walk.
+  DiskShapeSource source(disk_db->get());
+  EXPECT_FALSE(storage::FindShapes(
+                   source, {.mode = storage::ShapeFinderMode::kScan,
+                            .threads = 2})
+                   .ok());
+  std::remove(fixture.path.c_str());
+}
+
+TEST(DiskCorruptionTest, CatalogChainCycleIsRejected) {
+  const CorruptionFixture fixture =
+      MakeCorruptionFixture("corrupt_catalog_cycle.db");
+  PatchHeaderU32(fixture.path, 0, kNextOffset, 0);
+  auto disk_db = DiskDatabase::Open(fixture.path);
+  ASSERT_FALSE(disk_db.ok());
+  EXPECT_EQ(disk_db.status().code(), StatusCode::kInternal);
+  EXPECT_NE(disk_db.status().message().find("loops"), std::string::npos)
+      << disk_db.status();
+  std::remove(fixture.path.c_str());
+}
+
+// Flips each byte of each page header, one at a time (all eight bits, and
+// the low bit alone so small page ids in `next` turn into neighbouring,
+// valid ones), then opens the file and runs both plans. Every run must end
+// in a Status — never a crash, an out-of-bounds read or a hang. Flips in
+// the magic or the checksum must be caught by the full scan, and so must a
+// flip in a heap page's `count` unless it raises the tail page's count
+// (rows past the catalog's tuple count are never read).
+TEST(DiskCorruptionTest, HeaderByteFlipsEndInAStatus) {
+  const CorruptionFixture fixture = MakeCorruptionFixture("corrupt_sweep.db");
+  const std::string pristine = ReadFileBytes(fixture.path);
+  ASSERT_EQ(pristine.size(), uint64_t{fixture.num_pages} * kPageSize);
+  const std::string path = TempPath("corrupt_sweep_variant.db");
+  for (PageId page = 0; page < fixture.num_pages; ++page) {
+    for (uint32_t byte = 0; byte < kPageHeaderSize; ++byte) {
+      for (uint8_t mask : {uint8_t{0xff}, uint8_t{0x01}}) {
+        std::string bytes = pristine;
+        bytes[uint64_t{page} * kPageSize + byte] ^= static_cast<char>(mask);
+        WriteFileBytes(path, bytes);
+        const std::string where = "page " + std::to_string(page) +
+                                  ", header byte " + std::to_string(byte) +
+                                  ", mask " + std::to_string(mask);
+        auto disk_db = DiskDatabase::Open(path, /*num_frames=*/16);
+        if (!disk_db.ok()) continue;
+        bool scan_failed = false;
+        for (storage::ShapeFinderMode mode :
+             {storage::ShapeFinderMode::kScan,
+              storage::ShapeFinderMode::kExists}) {
+          for (unsigned threads : {1u, 2u}) {
+            DiskShapeSource source(disk_db->get());
+            const bool ok =
+                storage::FindShapes(source, {.mode = mode, .threads = threads})
+                    .ok();
+            if (mode == storage::ShapeFinderMode::kScan && threads == 1) {
+              scan_failed = !ok;
+            }
+          }
+        }
+        const bool magic_or_checksum =
+            byte < offsetof(PageHeader, kind) ||
+            byte >= offsetof(PageHeader, checksum);
+        const bool heap_page =
+            std::count(fixture.r_pages.begin(), fixture.r_pages.end(),
+                       page) +
+                std::count(fixture.s_pages.begin(), fixture.s_pages.end(),
+                           page) >
+            0;
+        bool count_caught = false;
+        if (heap_page && byte >= kCountOffset &&
+            byte < kCountOffset + sizeof(uint32_t)) {
+          PageHeader before;
+          PageHeader after;
+          std::memcpy(&before, pristine.data() + uint64_t{page} * kPageSize,
+                      sizeof(before));
+          std::memcpy(&after, bytes.data() + uint64_t{page} * kPageSize,
+                      sizeof(after));
+          count_caught =
+              before.next != kInvalidPageId || after.count < before.count;
+        }
+        if (magic_or_checksum || count_caught) {
+          EXPECT_TRUE(scan_failed) << where;
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(fixture.path.c_str());
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 //   query <file> "<q(X) :- ...>"                   certain answers
 //   findshapes <file> [--backend=memory|disk|index]
 //              [--mode=scan|exists|index] [--threads=N]
-//              [--pool-shards=N] [--prefetch=K]
 //              [--snapshot=path.chidx]             shape(D) via ShapeSource
 //   index build <file> <out.chidx> [--backend=memory|disk] [--threads=N]
 //              [--shards=N]                        materialize shape(D)
@@ -170,29 +169,16 @@ bool ParseShards(const Args& args, unsigned* shards) {
                           index::ShardedShapeIndex::kMaxShards, shards);
 }
 
-// 0 = auto (the buffer pool splits only when large enough).
-bool ParsePoolShards(const Args& args, unsigned* pool_shards) {
-  return ParseBoundedFlag(args, "pool-shards", 0, 0, 256, pool_shards);
-}
-
 // Pool size for a disk-backend run: per-shard capacity must cover one
 // pinned page per scan worker even if every worker's pin lands in one
-// shard, i.e. frames >= threads x shards (auto-sharding splits into at
-// most BufferPool::kDefaultShards). Capped so pathological flag
-// combinations don't balloon memory — past the cap the pool falls back on
-// its bounded pin-wait.
-uint32_t DiskPoolFrames(unsigned threads, unsigned pool_shards) {
-  const unsigned shards =
-      pool_shards == 0 ? pager::BufferPool::kDefaultShards : pool_shards;
+// shard, i.e. frames >= threads x shards (the pool splits into at most
+// BufferPool::kDefaultShards). Capped so pathological thread counts don't
+// balloon memory — past the cap the pool falls back on its bounded
+// pin-wait.
+uint32_t DiskPoolFrames(unsigned threads) {
   const uint64_t frames = std::max<uint64_t>(
-      {64, 8ull * std::max(1u, threads),
-       static_cast<uint64_t>(std::max(1u, threads)) * shards});
+      64, uint64_t{pager::BufferPool::kDefaultShards} * std::max(1u, threads));
   return static_cast<uint32_t>(std::min<uint64_t>(frames, 1u << 16));
-}
-
-// Read-ahead depth in pages; 0 = off.
-bool ParsePrefetch(const Args& args, unsigned* prefetch) {
-  return ParseBoundedFlag(args, "prefetch", 0, 0, 1u << 16, prefetch);
 }
 
 // --mode=scan|exists|index -> the FindShapes query plan.
@@ -727,9 +713,9 @@ int CmdFindShapes(const Args& args) {
   if (args.positional.empty()) {
     std::cerr << "usage: chasectl findshapes <file> "
                  "[--backend=memory|disk|index] [--mode=scan|exists|index] "
-                 "[--threads=N] [--shards=N] [--pool-shards=N] "
-                 "[--prefetch=K] [--snapshot=path.chidx] [--store=path.db] "
-                 "[--trace=FILE] [--metrics=FILE] [--print]\n";
+                 "[--threads=N] [--shards=N] [--snapshot=path.chidx] "
+                 "[--store=path.db] [--trace=FILE] [--metrics=FILE] "
+                 "[--print]\n";
     return 2;
   }
   ObsSession obs_session;
@@ -762,9 +748,6 @@ int CmdFindShapes(const Args& args) {
 
   storage::FindShapesOptions options;
   if (!ParseShards(args, &options.index_shards)) return 2;
-  if (!ParsePrefetch(args, &options.prefetch)) return 2;
-  unsigned pool_shards = 0;
-  if (!ParsePoolShards(args, &pool_shards)) return 2;
   if (!ParseFinderMode(args, &options.mode)) return 2;
   if (!ParseThreads(args, &options.threads)) return 2;
 
@@ -791,8 +774,7 @@ int CmdFindShapes(const Args& args) {
       ScratchStorePath(args, "chasectl_findshapes");
   if (backend == "disk") {
     auto created = pager::DiskDatabase::Create(
-        store_path, *program->database,
-        DiskPoolFrames(options.threads, pool_shards), pool_shards);
+        store_path, *program->database, DiskPoolFrames(options.threads));
     if (!created.ok()) return Fail(created.status());
     disk_db = std::move(created).value();
     disk_source = std::make_unique<pager::DiskShapeSource>(disk_db.get());
@@ -827,8 +809,6 @@ int CmdFindShapes(const Args& args) {
   obs::SetGauge("findshapes.pool_hits", static_cast<double>(io.pool_hits));
   obs::SetGauge("findshapes.pool_misses",
                 static_cast<double>(io.pool_misses));
-  obs::SetGauge("findshapes.pool_prefetches",
-                static_cast<double>(io.pool_prefetches));
   std::cout << shapes->size() << " shape(s) over "
             << program->database->TotalFacts() << " tuples\n"
             << "  backend: " << source->Name() << ", plan: "
@@ -839,15 +819,14 @@ int CmdFindShapes(const Args& args) {
             << access.relations_loaded << " relation loads, "
             << access.tuples_scanned << " tuples scanned\n"
             << "  io: " << io.pages_read << " pages read, " << io.pool_hits
-            << " pool hits / " << io.pool_misses << " misses, "
-            << io.pool_prefetches << " prefetched\n";
+            << " pool hits / " << io.pool_misses << " misses\n";
   if (args.Has("print")) {
     for (const Shape& shape : *shapes) {
       std::cout << ShapeName(*program->schema, shape) << "\n";
     }
   }
-  // Close the pager (flush + stats quiesce) before the trace is written so
-  // fault/prefetch spans from pool teardown are in the artifact.
+  // Close the pager before the trace is written so fault spans from pool
+  // teardown are in the artifact.
   const bool had_disk = disk_db != nullptr;
   disk_source.reset();
   disk_db.reset();
@@ -912,8 +891,7 @@ int CmdIndex(const Args& args) {
   const std::string store_path = ScratchStorePath(args, "chasectl_index");
   if (backend == "disk") {
     auto created = pager::DiskDatabase::Create(
-        store_path, *program->database,
-        DiskPoolFrames(options.threads, /*pool_shards=*/0));
+        store_path, *program->database, DiskPoolFrames(options.threads));
     if (!created.ok()) return Fail(created.status());
     disk_db = std::move(created).value();
     disk_source = std::make_unique<pager::DiskShapeSource>(disk_db.get());
@@ -1151,8 +1129,7 @@ int Usage() {
       "  chasectl query <file> \"q(X) :- r(X, Y).\"\n"
       "  chasectl findshapes <file> [--backend=memory|disk|index] "
       "[--mode=scan|exists|index] [--threads=N] [--shards=N] "
-      "[--pool-shards=N] [--prefetch=K] [--snapshot=path.chidx] "
-      "[--store=path.db] [--print]\n"
+      "[--snapshot=path.chidx] [--store=path.db] [--print]\n"
       "  chasectl index build <file> <out.chidx> [--backend=memory|disk] "
       "[--threads=N] [--shards=N] [--store=path.db]\n"
       "  chasectl index stat <snapshot.chidx>\n"
@@ -1196,8 +1173,8 @@ const std::vector<Command>& Commands() {
        {"mode", "threads", "print", "trace", "metrics"}},
       {"query", CmdQuery, {}},
       {"findshapes", CmdFindShapes,
-       {"backend", "mode", "threads", "shards", "pool-shards", "prefetch",
-        "snapshot", "store", "print", "trace", "metrics"}},
+       {"backend", "mode", "threads", "shards", "snapshot", "store",
+        "print", "trace", "metrics"}},
       {"index", CmdIndex, {"backend", "threads", "shards", "store"}},
       {"stats", CmdStats, {}},
       {"zoo", CmdZoo, {}},
