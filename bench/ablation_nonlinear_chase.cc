@@ -1,39 +1,23 @@
-// Ablation: parallel homomorphism search for non-linear (multi-atom-body)
-// rules in the chase engine.
+// Ablation: the chase over non-linear (multi-atom-body) rules, per join
+// family and chase variant.
 //
-// Until this engine landed, frontier_threads silently fell back to serial
-// enumeration the moment any rule had two body atoms: the round-level split
-// only dealt delta ranges of a single body atom, and buffering a multi-atom
-// join's full output would have been unbounded. The engine now partitions
-// each (rule, delta-position) task's homomorphism space into range
-// fragments (chase/body_partition.h) and runs them on the persistent
-// worker pool under the budgeted enumerate→pause→apply→resume protocol, so
-// non-linear rounds parallelize with peak buffered homomorphisms capped at
-// threads × hom_budget.
+// Families:
+//  * star — one hot hub row fanning out;
+//  * chain — role composition;
+//  * triangle — a cyclic three-atom join;
+//  * cross — a disconnected body, the pure cross-product.
 //
-// The sweep crosses the three knobs that matter:
-//  * join family — star (one hot hub row whose fan-out forces the
-//    join-split path), chain (role composition), triangle (cyclic join),
-//    cross (disconnected body, the pure cross-product whose unbudgeted
-//    buffering would explode);
-//  * threads 1..8 (1 = the untouched serial streaming oracle);
-//  * hom_budget, from the 4096 default down to 1 (an epoch per
-//    homomorphism per fragment — maximal pause/resume traffic).
-//
-// Columns: peak-buf is the measured ChaseResult::peak_buffered_homs (its
-// bound, threads × budget, is in the bud-bound column beside it), and
-// prefiltered counts restricted-variant triggers the workers proved
-// satisfied against the frozen prefix. Every configuration is checked
-// bit-identical against the serial oracle — outcome, rounds, trigger
-// counts, and the instance's insertion order — before its row is emitted.
-//
-// NOTE: this container is single-core, so wall-clock parallel gains don't
-// show here (same caveat as ablation_frontier_parallel); the equivalence
-// checks, the peak-buffer accounting, and the pause/resume overhead trend
-// across budgets are the signal. Also emits BENCH_nonlinear_chase.json
-// (see WriteBenchJson) for CI to archive.
+// Each (family, variant) row reports the best-of-reps wall-clock, the
+// result counters (rounds, triggers fired, atoms), and the join work of
+// the round bodies as rows probed per homomorphism
+// (ChaseResult::body_rows_probed / body_homs; about 1 per joined position
+// on key joins). Every rep must reproduce the first rep's outcome,
+// counters and instance insertion order, or the bench fails. Also emits
+// BENCH_nonlinear_chase.json (see WriteBenchJson) for CI to archive.
 
+#include <algorithm>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,15 +29,11 @@ using namespace chase::bench;
 
 namespace {
 
-struct AtomList {
+std::vector<GroundAtom> CollectAtoms(const Instance& instance) {
   std::vector<GroundAtom> atoms;
-};
-
-AtomList CollectAtoms(const Instance& instance) {
-  AtomList list;
   instance.ForEachAtom(
-      [&](const GroundAtom& atom) { list.atoms.push_back(atom); });
-  return list;
+      [&](const GroundAtom& atom) { atoms.push_back(atom); });
+  return atoms;
 }
 
 }  // namespace
@@ -63,9 +43,8 @@ int main(int argc, char** argv) {
   const uint32_t reps = flags.reps != 0 ? flags.reps : 3;
   Rng rng(flags.seed);
 
-  TablePrinter table({"family", "variant", "threads", "budget", "t-ms",
-                      "speedup", "rounds", "triggers", "prefiltered",
-                      "peak-buf", "bud-bound", "atoms"});
+  TablePrinter table({"family", "variant", "t-ms", "rounds", "triggers",
+                      "atoms", "probes/hom"});
 
   const NonLinearFamily families[] = {
       NonLinearFamily::kStar, NonLinearFamily::kChain,
@@ -102,75 +81,49 @@ int main(int argc, char** argv) {
 
     for (ChaseVariant variant :
          {ChaseVariant::kSemiOblivious, ChaseVariant::kRestricted}) {
-      ChaseOptions serial_options;
-      serial_options.variant = variant;
-      serial_options.max_atoms = std::max<uint64_t>(
+      ChaseOptions options;
+      options.variant = variant;
+      options.max_atoms = std::max<uint64_t>(
           500, static_cast<uint64_t>(20'000 * flags.scale));
-      auto serial = RunChase(*data->database, *tgds, serial_options);
-      if (!serial.ok()) {
-        std::cerr << serial.status() << "\n";
-        return 1;
-      }
-      const AtomList serial_atoms = CollectAtoms(serial->instance);
-
-      double base_ms = 0;
-      for (unsigned threads : {1u, 2u, 4u, 8u}) {
-        for (uint64_t budget : {uint64_t{1}, uint64_t{64}, uint64_t{4096}}) {
-          // threads=1 ignores the budget (serial streaming): one row.
-          if (threads == 1 && budget != 4096) continue;
-          double best_ms = 0;
-          uint64_t rounds = 0, triggers = 0, prefiltered = 0, peak = 0,
-                   atoms = 0;
-          for (uint32_t rep = 0; rep < reps; ++rep) {
-            ChaseOptions options = serial_options;
-            options.frontier_threads = threads;
-            options.hom_budget = budget;
-            Timer timer;
-            auto result = RunChase(*data->database, *tgds, options);
-            const double ms = timer.ElapsedMillis();
-            if (!result.ok() || result->outcome != serial->outcome ||
-                result->rounds != serial->rounds ||
-                result->triggers_fired != serial->triggers_fired ||
-                CollectAtoms(result->instance).atoms != serial_atoms.atoms) {
-              std::cerr << "non-linear chase mismatch (family="
-                        << NonLinearFamilyName(family)
-                        << ", variant=" << ChaseVariantName(variant)
-                        << ", threads=" << threads << ", budget=" << budget
-                        << ")\n";
-              return 1;
-            }
-            if (result->peak_buffered_homs > threads * budget) {
-              std::cerr << "peak-buffer bound violated\n";
-              return 1;
-            }
-            best_ms = rep == 0 ? ms : std::min(best_ms, ms);
-            rounds = result->rounds;
-            triggers = result->triggers_fired;
-            prefiltered = result->triggers_prefiltered;
-            peak = result->peak_buffered_homs;
-            atoms = result->instance.NumAtoms();
-          }
-          if (threads == 1) base_ms = best_ms;
-          table.AddRow({NonLinearFamilyName(family),
-                        ChaseVariantName(variant), std::to_string(threads),
-                        threads == 1 ? "-" : std::to_string(budget),
-                        FmtMs(best_ms),
-                        Fmt(base_ms / std::max(best_ms, 1e-6), 1) + "x",
-                        std::to_string(rounds), std::to_string(triggers),
-                        std::to_string(prefiltered), std::to_string(peak),
-                        threads == 1
-                            ? "-"
-                            : std::to_string(uint64_t{threads} * budget),
-                        std::to_string(atoms)});
+      double best_ms = 0;
+      std::optional<ChaseResult> first;
+      std::vector<GroundAtom> first_atoms;
+      for (uint32_t rep = 0; rep < reps; ++rep) {
+        Timer timer;
+        auto result = RunChase(*data->database, *tgds, options);
+        const double ms = timer.ElapsedMillis();
+        if (!result.ok()) {
+          std::cerr << result.status() << "\n";
+          return 1;
+        }
+        best_ms = rep == 0 ? ms : std::min(best_ms, ms);
+        if (rep == 0) {
+          first_atoms = CollectAtoms(result->instance);
+          first.emplace(std::move(result).value());
+        } else if (result->outcome != first->outcome ||
+                   result->rounds != first->rounds ||
+                   result->triggers_fired != first->triggers_fired ||
+                   result->body_rows_probed != first->body_rows_probed ||
+                   CollectAtoms(result->instance) != first_atoms) {
+          std::cerr << "non-linear chase not repeatable (family="
+                    << NonLinearFamilyName(family)
+                    << ", variant=" << ChaseVariantName(variant) << ")\n";
+          return 1;
         }
       }
+      table.AddRow(
+          {NonLinearFamilyName(family), ChaseVariantName(variant),
+           FmtMs(best_ms), std::to_string(first->rounds),
+           std::to_string(first->triggers_fired),
+           std::to_string(first->instance.NumAtoms()),
+           Fmt(static_cast<double>(first->body_rows_probed) /
+                   static_cast<double>(std::max<uint64_t>(
+                       1, first->body_homs)),
+               2)});
     }
   }
 
-  Emit(flags,
-       "Ablation: parallel homomorphism search for non-linear rules "
-       "(partitioned body joins, budgeted enumerate/pause/apply/resume)",
-       table);
+  Emit(flags, "Ablation: the chase over non-linear rules", table);
   if (!WriteBenchJson(flags, "nonlinear_chase", table)) return 1;
   return 0;
 }

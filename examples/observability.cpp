@@ -1,14 +1,13 @@
-// Observability worked example: run a parallel non-linear chase with the
+// Observability worked example: run a non-linear chase with the
 // metrics registry, the trace-span recorder, and a live progress reporter
 // all enabled from library code (chasectl wires the same three behind
 // --metrics/--trace/--progress), then write the artifacts:
 //
 //   $ ./example_observability [trace.json [metrics.json]]
 //
-// Open trace.json at https://ui.perfetto.dev (or chrome://tracing): one
-// row per thread, "round" spans on the coordinator with the per-(rule,
-// fragment) "hom_task" spans and the worker pool's "chunks"/"barrier_wait"
-// phases nested under the budgeted "wave" windows. metrics.json holds the
+// Open trace.json at https://ui.perfetto.dev (or chrome://tracing): the
+// chase's "run" span, one "round" span per round, and under each the
+// per-rule "rule" spans of its body joins. metrics.json holds the
 // counter/gauge/histogram dump (see README "Observability" for the
 // schema).
 
@@ -67,8 +66,6 @@ int main(int argc, char** argv) {
   ChaseOptions options;
   options.variant = ChaseVariant::kSemiOblivious;
   options.max_atoms = 1'000'000;
-  options.frontier_threads = 4;  // parallel trigger enumeration
-  options.hom_budget = 2;        // tiny budget -> many visible waves
   options.progress = &sink;
 
   StatusOr<ChaseResult> result =

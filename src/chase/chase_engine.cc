@@ -12,7 +12,6 @@
 #include "chase/body_partition.h"
 #include "chase/instance.h"
 #include "chase/join_cursor.h"
-#include "exec/frontier_pool.h"
 #include "index/sharded_shape_index.h"
 #include "io/binary_io.h"
 #include "logic/atom.h"
@@ -78,38 +77,6 @@ bool HeadSatisfied(JoinCursor& cursor, const Tgd& tgd,
                tgd.num_vars());
   std::copy_n(hom.begin(), tgd.num_universal(), cursor.h().begin());
   return cursor.Next();
-}
-
-// The restricted chase's firing test: true iff some extension of `hom`'s
-// frontier maps head(σ) into the instance as it stands, atoms applied
-// earlier in this round included. A pre-filter survivor (`prefix_unsat`)
-// has no witness inside the round-start prefix, and atoms are never
-// removed, so its witnesses must use a same-round atom at some head
-// position d: each grown d is probed over its suffix only.
-bool RestrictedHeadSatisfied(JoinCursor& cursor, std::vector<Window>& windows,
-                             const Tgd& tgd, std::span<const uint32_t> head_ids,
-                             const Instance& instance, const RoundView& view,
-                             const std::vector<Term>& hom, bool prefix_unsat) {
-  const auto& head = tgd.head();
-  windows.resize(head.size());
-  for (size_t k = 0; k < head.size(); ++k) {
-    windows[k] = {0, instance.AtomsOf(head[k].pred).size()};
-  }
-  if (!prefix_unsat) {
-    return HeadSatisfied(cursor, tgd, head_ids, instance, instance.indexes(),
-                         hom, windows);
-  }
-  for (size_t d = 0; d < head.size(); ++d) {
-    const Window all = windows[d];
-    windows[d].begin = view.CurOf(head[d].pred);
-    if (windows[d].begin < all.end &&
-        HeadSatisfied(cursor, tgd, head_ids, instance, instance.indexes(), hom,
-                      windows)) {
-      return true;
-    }
-    windows[d] = all;
-  }
-  return false;
 }
 
 }  // namespace
@@ -228,8 +195,6 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     }
     result.rounds = ckpt.rounds;
     result.triggers_fired = ckpt.triggers_fired;
-    result.triggers_prefiltered = ckpt.triggers_prefiltered;
-    result.peak_buffered_homs = ckpt.peak_buffered_homs;
   }
 
   std::vector<GroundAtom> pending;  // atoms produced in the current round
@@ -247,37 +212,17 @@ StatusOr<ChaseResult> RunChase(const Database& database,
                                                             std::move(cols));
                              }));
   }
-  // The serial round's cursors, and the head windows of the restricted
-  // satisfaction probes.
-  HomEnumerator serial_enum;
+  // The round's body cursor, and the cursor and head windows of the
+  // restricted satisfaction probes.
+  HomEnumerator body_enum;
   JoinCursor head_cursor;
   std::vector<Window> head_windows;
-
-  // Parallel rounds run on any rule set, linear or not: each round's
-  // homomorphism space is split into range fragments whose canonical
-  // concatenation replays the serial stream (chase/body_partition.h), and
-  // the old hazard — a multi-atom body cross-producting a fragment against
-  // whole relations and materializing unbounded buffers — is handled by
-  // the budgeted enumerate→pause→apply→resume protocol below, which caps
-  // buffered homomorphisms at threads × hom_budget. The restricted
-  // variant enumerates on the pool too: its satisfaction check must
-  // observe atoms applied earlier in the same round, so the workers only
-  // run a conservative pre-filter against the frozen round-start prefix
-  // (satisfied there => satisfied at apply time, skip for good) and the
-  // survivors re-check serially in exact firing order — against the
-  // same-round suffix only, the one part the workers could not see.
-  const unsigned enum_threads = std::max(1u, options.frontier_threads);
-  // The pool is spawned once here and reused by every wave of every round
-  // below through its generation barrier — per-round thread spawn cost was
-  // exactly what dominated shallow-but-many-round workloads.
-  std::optional<WorkerPool> pool;
-  if (enum_threads > 1) pool.emplace(enum_threads);
 
   // Observability (all off by default, every site behind one relaxed
   // load): a whole-run span, a span and log2 duration histogram per round,
   // and — when the caller hands in a sink — live progress published at
   // round boundaries plus every few thousand firings inside a round.
-  obs::TraceSpan run_span("chase", "run", "threads", enum_threads, "rules",
+  obs::TraceSpan run_span("chase", "run", "rules",
                           static_cast<int64_t>(tgds.size()));
   obs::Histogram* round_hist =
       obs::MetricsRegistry::enabled()
@@ -304,8 +249,6 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     ckpt.input_fingerprint = input_fingerprint;
     ckpt.rounds = result.rounds;
     ckpt.triggers_fired = result.triggers_fired;
-    ckpt.triggers_prefiltered = result.triggers_prefiltered;
-    ckpt.peak_buffered_homs = result.peak_buffered_homs;
     ckpt.next_null = instance.NumNulls();
     ckpt.relations.resize(num_preds);
     for (PredId pred = 0; pred < num_preds; ++pred) {
@@ -356,20 +299,19 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     uint64_t atoms_now = instance.NumAtoms();
 
     // Applies one trigger: the firing decision, null allocation, and atom
-    // insertion. Always runs on this thread, in serial enumeration order —
-    // the parallel path below only moves the *enumeration* of `hom` off
-    // this thread. `prefix_unsat` marks a restricted trigger whose head
-    // the parallel pre-filter already proved unsatisfied by the
-    // round-start prefix, so only same-round witnesses remain to check.
-    auto fire = [&](size_t rule, const std::vector<Term>& hom,
-                    bool prefix_unsat) {
+    // insertion, in enumeration order.
+    auto fire = [&](size_t rule, const std::vector<Term>& hom) {
       const Tgd& tgd = tgds[rule];
-      if (hit_atom_limit) return;
-      // Decide whether this trigger fires.
+      // Decide whether this trigger fires. The restricted variant checks
+      // the instance as it stands, atoms applied earlier in this round
+      // included.
       if (restricted) {
-        if (RestrictedHeadSatisfied(head_cursor, head_windows, tgd,
-                                    plans[rule].head, instance, view, hom,
-                                    prefix_unsat)) {
+        head_windows.clear();
+        for (const RuleAtom& atom : tgd.head()) {
+          head_windows.push_back({0, instance.AtomsOf(atom.pred).size()});
+        }
+        if (HeadSatisfied(head_cursor, tgd, plans[rule].head, instance,
+                          instance.indexes(), hom, head_windows)) {
           return;
         }
       } else {
@@ -437,109 +379,19 @@ StatusOr<ChaseResult> RunChase(const Database& database,
       }
     };
 
-    if (enum_threads <= 1) {
-      // One whole-range fragment per (rule, delta position) task, in the
-      // canonical order the parallel fragments concatenate back into.
-      for (const BodyPartition& part : PlanBodyPartitions(tgds, view, 1)) {
-        if (hit_atom_limit) break;
-        obs::TraceSpan rule_span("chase", "rule", "rule",
-                                 static_cast<int64_t>(part.rule));
-        serial_enum.Reset(&tgds[part.rule], plans[part.rule].body, &instance,
-                          &view, part);
-        while (!hit_atom_limit && serial_enum.Next()) {
-          fire(part.rule, serial_enum.hom(), /*prefix_unsat=*/false);
+    // One task per (rule, delta position), in the round's trigger order
+    // (chase/body_partition.h).
+    for (size_t rule = 0; rule < tgds.size() && !hit_atom_limit; ++rule) {
+      const Tgd& tgd = tgds[rule];
+      for (size_t delta_pos = 0;
+           delta_pos < tgd.body().size() && !hit_atom_limit; ++delta_pos) {
+        if (!body_enum.Reset(&tgd, plans[rule].body, &instance, &view,
+                             delta_pos)) {
+          continue;  // some position has no candidates: no triggers
         }
-      }
-    } else {
-      // Frontier-parallel round: enumerate every trigger of the round
-      // against the frozen round-start prefix on the worker pool, apply
-      // them here in the exact serial order. The round's homomorphism
-      // space is planned as range fragments whose canonical order replays
-      // the serial stream, and the budgeted protocol slides a window of at
-      // most `enum_threads` in-flight fragments over them: a worker fills
-      // its fragment's bounded buffer and parks, the serial drain applies
-      // buffers in fragment order (the first unfinished fragment's prefix
-      // included), and paused fragments resume from their saved
-      // backtracking cursors. So `fired`, null ids, and the atom-limit cut
-      // land identically to a single-threaded run, while peak buffered
-      // homomorphisms stay at most enum_threads × hom_budget.
-      const std::vector<BodyPartition> parts =
-          PlanBodyPartitions(tgds, view, enum_threads);
-      const uint64_t budget = std::max<uint64_t>(1, options.hom_budget);
-      std::vector<HomEnumerator> enums(parts.size());
-      std::vector<char> started(parts.size(), 0);
-      std::vector<std::vector<std::vector<Term>>> homs(parts.size());
-      // Restricted only: presat[t][j] records that hom j of fragment t had
-      // its head satisfied by the round-start prefix already — decided on
-      // the workers, skipped for good on the serial drain below.
-      std::vector<std::vector<char>> presat(parts.size());
-      std::vector<JoinCursor> worker_heads(restricted ? enum_threads : 0);
-      std::vector<std::vector<Window>> worker_windows(worker_heads.size());
-      pool->RunBudgetedTasks(
-          parts.size(),
-          [&](unsigned worker, size_t t) -> bool {
-            // One span per resume slice of a (rule, delta)-fragment's
-            // homomorphism enumeration — the per-task view of a wave.
-            obs::TraceSpan task_span("chase", "hom_task", "rule",
-                                     static_cast<int64_t>(parts[t].rule),
-                                     "task", static_cast<int64_t>(t));
-            const Tgd& tgd = tgds[parts[t].rule];
-            HomEnumerator& e = enums[t];
-            if (started[t] == 0) {
-              e.Reset(&tgd, plans[parts[t].rule].body, &instance, &view,
-                      parts[t]);
-              started[t] = 1;
-            }
-            if (restricted) {
-              // The pre-filter reads only the round-start prefix.
-              std::vector<Window>& windows = worker_windows[worker];
-              windows.clear();
-              for (const RuleAtom& atom : tgd.head()) {
-                windows.push_back({0, view.CurOf(atom.pred)});
-              }
-            }
-            while (homs[t].size() < budget) {
-              if (!e.Next()) return true;  // fragment exhausted
-              if (restricted) {
-                presat[t].push_back(HeadSatisfied(
-                    worker_heads[worker], tgd, plans[parts[t].rule].head,
-                    instance, instance.indexes(), e.hom(),
-                    worker_windows[worker]));
-              }
-              homs[t].push_back(e.hom());
-            }
-            return false;  // buffer full: park, resume next epoch
-          },
-          [&](size_t t) -> bool {
-            for (size_t j = 0; j < homs[t].size(); ++j) {
-              if (hit_atom_limit) break;
-              if (restricted && presat[t][j] != 0) {
-                // The serial path would have found the same witness (the
-                // prefix is a subset of the instance it checks) and
-                // skipped this trigger without firing; do the same, minus
-                // the check.
-                ++result.triggers_prefiltered;
-                continue;
-              }
-              fire(parts[t].rule, homs[t][j], /*prefix_unsat=*/restricted);
-            }
-            homs[t].clear();
-            presat[t].clear();
-            return !hit_atom_limit;  // the same early cut as serial
-          },
-          [&](size_t first, size_t count) {
-            // Epoch barrier: the only fragments with buffered output are
-            // the window's — sum them for the deterministic peak.
-            uint64_t buffered = 0;
-            for (size_t i = 0; i < count; ++i) {
-              buffered += homs[first + i].size();
-            }
-            result.peak_buffered_homs =
-                std::max(result.peak_buffered_homs, buffered);
-          });
-      for (const HomEnumerator& e : enums) {
-        result.body_rows_probed += e.rows_probed();
-        result.body_homs += e.homs();
+        obs::TraceSpan rule_span("chase", "rule", "rule",
+                                 static_cast<int64_t>(rule));
+        while (!hit_atom_limit && body_enum.Next()) fire(rule, body_enum.hom());
       }
     }
 
@@ -587,17 +439,13 @@ StatusOr<ChaseResult> RunChase(const Database& database,
       }
     }
   }
-  result.body_rows_probed += serial_enum.rows_probed();
-  result.body_homs += serial_enum.homs();
+  result.body_rows_probed = body_enum.rows_probed();
+  result.body_homs = body_enum.homs();
   // Mirror the run's result counters into the registry so `--metrics`
   // surfaces them without the caller plumbing ChaseResult around.
   obs::SetGauge("chase.rounds", static_cast<double>(result.rounds));
   obs::SetGauge("chase.triggers_fired",
                 static_cast<double>(result.triggers_fired));
-  obs::SetGauge("chase.triggers_prefiltered",
-                static_cast<double>(result.triggers_prefiltered));
-  obs::SetGauge("chase.peak_buffered_homs",
-                static_cast<double>(result.peak_buffered_homs));
   obs::SetGauge("chase.body_rows_probed",
                 static_cast<double>(result.body_rows_probed));
   obs::SetGauge("chase.body_homs", static_cast<double>(result.body_homs));

@@ -51,12 +51,10 @@ const char* ChaseVariantName(ChaseVariant variant);
 
 struct ChaseOptions {
   ChaseVariant variant = ChaseVariant::kSemiOblivious;
-  // Stop once the instance holds more than this many atoms. The cut trips
-  // at the same trigger for every frontier_threads value (triggers apply
-  // in serial order on every path), and never rolls back a partially
-  // applied trigger, so one multi-head trigger may overshoot by at most
-  // its head size: after the run, NumAtoms() <= max_atoms + the largest
-  // head atom count over the rules.
+  // Stop once the instance holds more than this many atoms. The cut never
+  // rolls back a partially applied trigger, so one multi-head trigger may
+  // overshoot by at most its head size: after the run, NumAtoms() <=
+  // max_atoms + the largest head atom count over the rules.
   //
   // Limit precedence: the atom budget outranks the round budget. When both
   // exhaust in the same round — or the seed database already exceeds
@@ -72,34 +70,6 @@ struct ChaseOptions {
   // The index must already reflect `database` when RunChase is called
   // (e.g. index::ShardedShapeIndex::Build) and must outlive the run.
   index::ShardedShapeIndex* shape_index = nullptr;
-  // Worker threads for per-round trigger enumeration (<= 1 enumerates
-  // inline). A round is a frontier: bodies only match against atoms from
-  // earlier rounds, so all three variants — over any rule set, linear or
-  // not — enumerate triggers on a persistent chase::WorkerPool (spawned
-  // once per RunChase, reused across rounds through its barrier) and apply
-  // them serially in the exact serial order: the resulting instance, null
-  // numbering, rounds, and trigger count are bit-identical to a
-  // single-threaded run. Each round's homomorphism space is split into
-  // range fragments (chase/body_partition.h) whose canonical concatenation
-  // replays the serial stream; multi-atom bodies, whose fragments can
-  // produce unboundedly many homomorphisms, run under the budgeted
-  // enumerate→pause→apply→resume protocol (WorkerPool::RunBudgetedTasks)
-  // with at most `hom_budget` buffered homomorphisms per in-flight
-  // fragment. For the restricted variant the workers additionally run a
-  // conservative satisfaction pre-filter against the frozen round-start
-  // prefix: a head satisfied there is satisfied at apply time too (atoms
-  // are never removed), so only the surviving triggers re-check serially —
-  // and only against the same-round suffix, since the workers already
-  // proved the prefix unsatisfying — without changing any firing decision.
-  unsigned frontier_threads = 1;
-  // Parallel enumeration only: the per-fragment homomorphism buffer bound.
-  // A worker that fills its fragment's buffer parks at the pool barrier
-  // and resumes from its saved backtracking cursor after the serial apply
-  // drains it, so peak buffered homomorphisms are bounded by
-  // frontier_threads × hom_budget whatever the rule set does (a cross-
-  // producting multi-atom body included). 0 behaves as 1. Never affects
-  // results — only peak memory and barrier cadence.
-  uint64_t hom_budget = 4096;
   // Optional live-progress sink (obs/progress.h): when set, the engine
   // publishes rounds / atom count / null count / triggers fired into it at
   // every round boundary and every few thousand trigger firings within a
@@ -129,8 +99,7 @@ struct ChaseOptions {
   // the same variant; any mismatch is kInvalidArgument — never a silently
   // divergent chase. The continued run is bit-identical to the
   // uninterrupted one — same instance bytes, null ids, rounds, and
-  // trigger counts — at any frontier_threads (max_rounds/max_atoms count
-  // totals across both legs). With a shape_index, the caller must hand in
+  // trigger counts (max_rounds/max_atoms count totals across both legs). With a shape_index, the caller must hand in
   // an index reflecting the checkpoint's instance, exactly as the
   // non-resume contract requires one reflecting `database`. Must outlive
   // the call.
@@ -151,27 +120,12 @@ struct ChaseResult {
   ChaseOutcome outcome;
   uint64_t rounds = 0;
   uint64_t triggers_fired = 0;
-  // Restricted variant with frontier_threads > 1 only: triggers whose head
-  // the parallel pre-filter proved satisfied against the round-start
-  // prefix, so the serial apply path skipped them without re-checking.
-  // Always 0 for a serial run (it checks and skips the same triggers, just
-  // on the serial path) — diagnostics only, never part of the
-  // bit-identical-result contract.
-  uint64_t triggers_prefiltered = 0;
-  // Parallel enumeration only: the largest number of homomorphisms ever
-  // buffered at once across the run, measured at each epoch barrier of the
-  // budgeted protocol. By construction at most frontier_threads ×
-  // hom_budget (tests/frontier_equivalence_test.cc asserts the bound).
-  // Deterministic for a given (input, threads, budget), but 0 for a serial
-  // run — diagnostics only, like triggers_prefiltered.
-  uint64_t peak_buffered_homs = 0;
   // Join work of this call's body enumeration (chase/join_cursor.h):
   // candidate rows probed, and body homomorphisms emitted. Their ratio is
   // the rows-probed-per-homomorphism cost of the round joins — about 1 per
   // joined position on key joins, where a full scan would probe whole
-  // relations. Equal at every frontier_threads for a run that reaches its
-  // fixpoint (a limit cut may stop enumeration at a different point).
-  // Counts start at zero on resume, since checkpoints do not carry them.
+  // relations. Counts start at zero on resume, since checkpoints do not
+  // carry them.
   uint64_t body_rows_probed = 0;
   uint64_t body_homs = 0;
 

@@ -128,42 +128,6 @@ void WorkerPool::ParallelFor(
   }
 }
 
-void WorkerPool::RunBudgetedTasks(
-    size_t num_tasks,
-    const std::function<bool(unsigned worker, size_t task)>& resume,
-    const std::function<bool(size_t task)>& drain,
-    const std::function<void(size_t first, size_t count)>& epoch_end) {
-  std::vector<char> exhausted(num_tasks, 0);
-  size_t drained = 0;  // tasks fully consumed and exhausted
-  uint64_t wave = 0;   // epoch ordinal, for the trace only
-  while (drained < num_tasks) {
-    const size_t count =
-        std::min<size_t>(threads_, num_tasks - drained);
-    // One wave = one enumerate→pause→apply epoch of the budgeted protocol.
-    obs::TraceSpan wave_span("pool", "wave", "wave",
-                             static_cast<int64_t>(wave++), "window",
-                             static_cast<int64_t>(count));
-    // Parallel epoch over the window of the first `count` undrained
-    // tasks. Already-exhausted tasks (kept in the window because an
-    // earlier task still has work) are skipped; their buffers wait.
-    ParallelFor(count, [&](unsigned worker, size_t i) {
-      const size_t task = drained + i;
-      if (exhausted[task] == 0 && resume(worker, task)) exhausted[task] = 1;
-    });
-    if (epoch_end != nullptr) epoch_end(drained, count);
-    // Serial drain in task order. The first unexhausted task stops the
-    // sweep — later tasks keep their buffers (each at most one budget)
-    // until every output before theirs has been consumed.
-    const size_t window_first = drained;
-    for (size_t i = 0; i < count; ++i) {
-      const size_t task = window_first + i;
-      if (!drain(task)) return;  // global early cut
-      if (exhausted[task] == 0) break;
-      ++drained;
-    }
-  }
-}
-
 void WorkerPool::Loop(unsigned worker) {
   uint64_t seen_epoch = 0;
   mu_.Lock();

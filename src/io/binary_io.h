@@ -115,8 +115,6 @@ struct ChaseCheckpoint {
   // ChaseResult counters at the boundary.
   uint64_t rounds = 0;
   uint64_t triggers_fired = 0;
-  uint64_t triggers_prefiltered = 0;
-  uint64_t peak_buffered_homs = 0;
   // The instance's null counter (= the next null id to be handed out).
   uint64_t next_null = 0;
   struct Relation {

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <utility>
 
 #include "base/sync.h"
 #include "obs/metrics.h"
@@ -9,18 +10,15 @@
 namespace chase {
 namespace obs {
 
-ProgressReporter::ProgressReporter(std::ostream* os,
-                                   const ChaseProgressSink* sink,
-                                   std::chrono::seconds interval)
-    : os_(os),
-      sink_(sink),
-      interval_(interval),
-      last_tick_(std::chrono::steady_clock::now()),
+PeriodicTicker::PeriodicTicker(std::chrono::seconds interval,
+                               std::function<void()> tick)
+    : interval_(interval),
+      tick_(std::move(tick)),
       thread_([this] { Loop(); }) {}
 
-ProgressReporter::~ProgressReporter() { Stop(); }
+PeriodicTicker::~PeriodicTicker() { Stop(); }
 
-void ProgressReporter::Stop() {
+void PeriodicTicker::Stop() {
   {
     MutexLock lock(mu_);
     if (stop_) return;
@@ -28,11 +26,10 @@ void ProgressReporter::Stop() {
   }
   cv_.NotifyAll();
   if (thread_.joinable()) thread_.join();
-  // Final line so a chase shorter than one interval still reports.
-  PrintLine();
+  tick_();
 }
 
-void ProgressReporter::Loop() {
+void PeriodicTicker::Loop() {
   MutexLock lock(mu_);
   while (!stop_) {
     // Sleep out one interval, re-waiting on spurious wakeups; a Stop
@@ -42,9 +39,17 @@ void ProgressReporter::Loop() {
            cv_.WaitUntil(mu_, deadline) != std::cv_status::timeout) {
     }
     if (stop_) break;
-    PrintLine();
+    tick_();
   }
 }
+
+ProgressReporter::ProgressReporter(std::ostream* os,
+                                   const ChaseProgressSink* sink,
+                                   std::chrono::seconds interval)
+    : os_(os),
+      sink_(sink),
+      last_tick_(std::chrono::steady_clock::now()),
+      ticker_(interval, [this] { PrintLine(); }) {}
 
 void ProgressReporter::PrintLine() {
   const auto now = std::chrono::steady_clock::now();
@@ -68,35 +73,8 @@ void ProgressReporter::PrintLine() {
 
 MetricsDumper::MetricsDumper(std::ostream* os, std::chrono::seconds interval)
     : os_(os),
-      interval_(interval),
       start_(std::chrono::steady_clock::now()),
-      thread_([this] { Loop(); }) {}
-
-MetricsDumper::~MetricsDumper() { Stop(); }
-
-void MetricsDumper::Stop() {
-  {
-    MutexLock lock(mu_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  cv_.NotifyAll();
-  if (thread_.joinable()) thread_.join();
-  // Final dump so a chase shorter than one interval still reports.
-  Dump();
-}
-
-void MetricsDumper::Loop() {
-  MutexLock lock(mu_);
-  while (!stop_) {
-    const auto deadline = std::chrono::steady_clock::now() + interval_;
-    while (!stop_ &&
-           cv_.WaitUntil(mu_, deadline) != std::cv_status::timeout) {
-    }
-    if (stop_) break;
-    Dump();
-  }
-}
+      ticker_(interval, [this] { Dump(); }) {}
 
 void MetricsDumper::Dump() {
   const double t = std::chrono::duration<double>(

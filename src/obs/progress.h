@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <ostream>
 #include <thread>
 
@@ -24,8 +25,8 @@ namespace obs {
 
 // Shared between the chase engine (writer) and a ProgressReporter
 // (reader). All relaxed: a tick may see a slightly torn snapshot across
-// fields (round from this wave, triggers from the last), which is fine for
-// a human status line.
+// fields (round from this update, triggers from the last), which is fine
+// for a human status line.
 struct ChaseProgressSink {
   std::atomic<uint64_t> rounds{0};
   std::atomic<uint64_t> atoms{0};
@@ -41,39 +42,54 @@ struct ChaseProgressSink {
   }
 };
 
-// Prints "[chase] round R  atoms A  nulls N  triggers T (X/s)" to `os`
-// every `interval` until stopped. Stop() (also run by the destructor)
-// wakes the thread promptly via a condition variable — no up-to-a-tick
-// shutdown stall — and prints one final line so short runs still report.
-class ProgressReporter {
+// Runs `tick` every `interval` on its own thread until stopped. Stop()
+// (also run by the destructor) wakes the thread promptly via a condition
+// variable — no up-to-a-tick shutdown stall — joins it, and runs `tick`
+// once more on the calling thread so runs shorter than one interval still
+// report.
+class PeriodicTicker {
  public:
-  ProgressReporter(std::ostream* os, const ChaseProgressSink* sink,
-                   std::chrono::seconds interval);
-  ~ProgressReporter();
-
-  ProgressReporter(const ProgressReporter&) = delete;
-  ProgressReporter& operator=(const ProgressReporter&) = delete;
+  PeriodicTicker(std::chrono::seconds interval, std::function<void()> tick);
+  ~PeriodicTicker();
 
   void Stop();
 
  private:
   void Loop();
-  void PrintLine();
 
-  std::ostream* const os_;
-  const ChaseProgressSink* const sink_;
   const std::chrono::seconds interval_;
+  const std::function<void()> tick_;
 
   Mutex mu_;
   CondVar cv_;
   bool stop_ GUARDED_BY(mu_) = false;
 
-  // Touched only by the reporter thread, and by Stop after the join — a
+  std::thread thread_;
+};
+
+// Prints "[chase] round R  atoms A  nulls N  triggers T (X/s)" to `os`
+// every `interval` until stopped, plus one final line at Stop().
+class ProgressReporter {
+ public:
+  ProgressReporter(std::ostream* os, const ChaseProgressSink* sink,
+                   std::chrono::seconds interval);
+
+  void Stop() { ticker_.Stop(); }
+
+ private:
+  void PrintLine();
+
+  std::ostream* const os_;
+  const ChaseProgressSink* const sink_;
+
+  // Touched only by the ticker thread, and by Stop after the join — a
   // strict handoff, so no latch.
   std::chrono::steady_clock::time_point last_tick_;
   uint64_t last_triggers_ = 0;
 
-  std::thread thread_;
+  // Last: its thread may print as soon as it starts, and it stops (with
+  // the final line) before the fields above are destroyed.
+  PeriodicTicker ticker_;
 };
 
 // Periodically dumps the whole metrics registry as JSON to `os` — the
@@ -81,31 +97,21 @@ class ProgressReporter {
 // counters of a live chase evolve instead of only seeing the final
 // `--metrics` snapshot. Each tick emits one self-contained JSON object
 // (the DumpJson format) prefixed by a "[metrics t=<seconds>]" marker line
-// so interleaved progress output stays parseable. Stop() (also run by the
-// destructor) wakes the thread promptly and emits one final dump.
+// so interleaved progress output stays parseable; Stop() emits one final
+// dump.
 class MetricsDumper {
  public:
   MetricsDumper(std::ostream* os, std::chrono::seconds interval);
-  ~MetricsDumper();
 
-  MetricsDumper(const MetricsDumper&) = delete;
-  MetricsDumper& operator=(const MetricsDumper&) = delete;
-
-  void Stop();
+  void Stop() { ticker_.Stop(); }
 
  private:
-  void Loop();
   void Dump();
 
   std::ostream* const os_;
-  const std::chrono::seconds interval_;
   const std::chrono::steady_clock::time_point start_;
 
-  Mutex mu_;
-  CondVar cv_;
-  bool stop_ GUARDED_BY(mu_) = false;
-
-  std::thread thread_;
+  PeriodicTicker ticker_;  // last, as in ProgressReporter
 };
 
 }  // namespace obs

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "base/bytes.h"
 #include "base/signal_flag.h"
 #include "chase/chase_engine.h"
 #include "io/binary_io.h"
@@ -67,8 +68,6 @@ ChaseCheckpoint MakeSampleCheckpoint() {
   ckpt.input_fingerprint = 0xfeedfacecafef00dull;
   ckpt.rounds = 7;
   ckpt.triggers_fired = 19;
-  ckpt.triggers_prefiltered = 3;
-  ckpt.peak_buffered_homs = 12;
   ckpt.next_null = 5;
   ChaseCheckpoint::Relation r0;
   r0.arity = 2;
@@ -85,11 +84,8 @@ ChaseCheckpoint MakeSampleCheckpoint() {
   return ckpt;
 }
 
-// Everything but the two diagnostic counters (triggers_prefiltered,
-// peak_buffered_homs), which are documented as thread-count-dependent and
-// excluded from the bit-identical-result contract.
-void ExpectSameCheckpointState(const ChaseCheckpoint& a,
-                               const ChaseCheckpoint& b) {
+void ExpectSameCheckpoints(const ChaseCheckpoint& a,
+                           const ChaseCheckpoint& b) {
   EXPECT_EQ(a.variant, b.variant);
   EXPECT_EQ(a.input_fingerprint, b.input_fingerprint);
   EXPECT_EQ(a.rounds, b.rounds);
@@ -103,13 +99,6 @@ void ExpectSameCheckpointState(const ChaseCheckpoint& a,
     EXPECT_EQ(a.relations[i].atoms, b.relations[i].atoms) << i;
   }
   EXPECT_EQ(a.fired_keys, b.fired_keys);
-}
-
-void ExpectSameCheckpoints(const ChaseCheckpoint& a,
-                           const ChaseCheckpoint& b) {
-  ExpectSameCheckpointState(a, b);
-  EXPECT_EQ(a.triggers_prefiltered, b.triggers_prefiltered);
-  EXPECT_EQ(a.peak_buffered_homs, b.peak_buffered_homs);
 }
 
 // ---------------------------------------------------------------------------
@@ -180,6 +169,46 @@ TEST(ChaseCheckpointEnvelopeTest, WrongMagicAndVersionRejected) {
   EXPECT_EQ(
       io::DeserializeChaseCheckpoint(snapshot_bytes).status().code(),
       StatusCode::kFailedPrecondition);
+}
+
+TEST(ChaseCheckpointEnvelopeTest, VersionOneCheckpointRejected) {
+  // A well-formed version-1 file, checksum included: its payload carried
+  // two more counters (prefiltered triggers, peak buffered homomorphisms)
+  // between triggers_fired and next_null.
+  ByteWriter payload;
+  payload.PutU32(1);        // variant
+  payload.PutU64(0xfeed);   // input fingerprint
+  payload.PutU64(7);        // rounds
+  payload.PutU64(19);       // triggers fired
+  payload.PutU64(3);        // triggers prefiltered (version 1 only)
+  payload.PutU64(12);       // peak buffered homs (version 1 only)
+  payload.PutU64(5);        // next null
+  payload.PutU32(1);        // one relation: arity 1, window [0, 1), row 9
+  payload.PutU32(1);
+  payload.PutU64(0);
+  payload.PutU64(1);
+  payload.PutU64(1);
+  payload.PutU64(9);
+  payload.PutU64(0);        // no fired keys
+  uint64_t checksum = 0xcbf29ce484222325ULL;  // FNV-1a, as the envelope
+  for (uint8_t b : payload.bytes()) {
+    checksum ^= b;
+    checksum *= 0x100000001b3ULL;
+  }
+  const std::vector<uint8_t> current =
+      io::SerializeChaseCheckpoint(MakeSampleCheckpoint());
+  ByteWriter file;
+  for (size_t i = 0; i < 4; ++i) file.PutU8(current[i]);  // CHCK magic
+  file.PutU32(1);
+  file.PutU64(payload.bytes().size());
+  file.PutU64(checksum);
+  std::vector<uint8_t> bytes = file.Take();
+  bytes.insert(bytes.end(), payload.bytes().begin(), payload.bytes().end());
+
+  const auto loaded = io::DeserializeChaseCheckpoint(bytes);
+  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(loaded.status().message().find("version 1"), std::string::npos)
+      << loaded.status();
 }
 
 TEST(ChaseCheckpointEnvelopeTest, SemanticValidationRejects) {
@@ -291,38 +320,26 @@ TEST(ChaseCheckpointEngineTest, PeriodicCheckpointResumesBitIdentically) {
   std::remove(path.c_str());
 }
 
-TEST(ChaseCheckpointEngineTest, CheckpointStateIsThreadCountInvariant) {
+TEST(ChaseCheckpointEngineTest, RepeatedRunsWriteIdenticalCheckpoints) {
   // The checkpoint serializes canonical state (fired keys sorted, atoms in
-  // insertion order): every state field must be identical at any
-  // frontier_threads, and at a fixed thread count repeated runs must write
-  // the identical file — only the two diagnostic counters, which the
-  // ChaseResult contract already scopes per thread count, may vary across
-  // thread counts.
+  // insertion order), so two runs of the same chase write the same file.
   Program p = MustParse(kNonTerminating);
-  const std::string path1 = TempPath("chck_canon_t1.chck");
-  const std::string path4 = TempPath("chck_canon_t4.chck");
-  const std::string path4_again = TempPath("chck_canon_t4_again.chck");
-  for (const auto& [path, threads] :
-       {std::pair<std::string, unsigned>{path1, 1},
-        {path4, 4},
-        {path4_again, 4}}) {
+  const std::string path = TempPath("chck_canon.chck");
+  const std::string path_again = TempPath("chck_canon_again.chck");
+  for (const std::string& out : {path, path_again}) {
     ChaseOptions options;
     options.max_rounds = 5;
-    options.frontier_threads = threads;
-    options.checkpoint_path = path;
+    options.checkpoint_path = out;
     options.checkpoint_every_rounds = 5;
     auto result = RunChase(*p.database, p.tgds, options);
     ASSERT_TRUE(result.ok()) << result.status();
   }
-  EXPECT_EQ(ReadAllBytes(path4), ReadAllBytes(path4_again));
-  auto serial = io::LoadChaseCheckpoint(path1);
-  auto parallel = io::LoadChaseCheckpoint(path4);
-  ASSERT_TRUE(serial.ok()) << serial.status();
-  ASSERT_TRUE(parallel.ok()) << parallel.status();
-  ExpectSameCheckpointState(*serial, *parallel);
-  std::remove(path1.c_str());
-  std::remove(path4.c_str());
-  std::remove(path4_again.c_str());
+  EXPECT_EQ(ReadAllBytes(path), ReadAllBytes(path_again));
+  auto loaded = io::LoadChaseCheckpoint(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->rounds, 5u);
+  std::remove(path.c_str());
+  std::remove(path_again.c_str());
 }
 
 TEST(ChaseCheckpointEngineTest, ResumeRejectsMismatchedProgramOrVariant) {
@@ -440,29 +457,27 @@ TEST(ChaseCheckpointEngineTest, InterruptedOutcomeHasAName) {
 
 TEST(ChaseLimitTest, AtomLimitCutIsDeterministicAndBounded) {
   // Two-atom heads: the one trigger allowed to overshoot adds at most the
-  // largest head atom count, and the cut lands at the same trigger for
-  // every thread count.
+  // largest head atom count, and the cut lands at the same trigger on
+  // every run.
   Program p = MustParse(R"(
     e(a, b).
     e(X, Y) -> e(Y, Z), e(Z, W).
   )");
   constexpr uint64_t kMaxAtoms = 50;
   constexpr uint64_t kMaxHeadAtoms = 2;
-  std::vector<GroundAtom> serial_atoms;
-  for (unsigned threads : {1u, 2u, 4u}) {
+  std::vector<GroundAtom> first_atoms;
+  for (int run = 0; run < 2; ++run) {
     ChaseOptions options;
     options.max_atoms = kMaxAtoms;
-    options.frontier_threads = threads;
     auto result = RunChase(*p.database, p.tgds, options);
     ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result->outcome, ChaseOutcome::kAtomLimit) << threads;
-    EXPECT_GT(result->instance.NumAtoms(), kMaxAtoms) << threads;
-    EXPECT_LE(result->instance.NumAtoms(), kMaxAtoms + kMaxHeadAtoms)
-        << threads;
-    if (threads == 1) {
-      serial_atoms = CollectAtoms(result->instance);
+    EXPECT_EQ(result->outcome, ChaseOutcome::kAtomLimit) << run;
+    EXPECT_GT(result->instance.NumAtoms(), kMaxAtoms) << run;
+    EXPECT_LE(result->instance.NumAtoms(), kMaxAtoms + kMaxHeadAtoms) << run;
+    if (run == 0) {
+      first_atoms = CollectAtoms(result->instance);
     } else {
-      EXPECT_EQ(CollectAtoms(result->instance), serial_atoms) << threads;
+      EXPECT_EQ(CollectAtoms(result->instance), first_atoms);
     }
   }
 }

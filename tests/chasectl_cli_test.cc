@@ -56,9 +56,7 @@ TEST_F(ChasectlCliTest, MalformedNumericFlagsExitTwo) {
   // with each malformed value below.
   const std::vector<std::string> invocations = {
       "check " + file + " --mode=l --threads=%s",
-      "chase " + file + " --threads=%s",
       "chase " + file + " --max-atoms=%s",
-      "chase " + file + " --hom-budget=%s",
       "chase " + file + " --metrics-interval=%s",
       "chase " + file + " --max-rounds=%s",
       "chase " + file + " --checkpoint=" + TempDir() +
@@ -89,11 +87,10 @@ TEST_F(ChasectlCliTest, MalformedNumericFlagsExitTwo) {
 
 TEST_F(ChasectlCliTest, OutOfRangeNumericFlagsExitTwo) {
   // In-format but out-of-bounds values: threads has a [1, 1024] window,
-  // hom-budget needs at least 1, and generate's arity is capped at
-  // Schema::kMaxArity.
-  EXPECT_EQ(RunChasectl("chase " + program_path_ + " --threads=0"), 2);
-  EXPECT_EQ(RunChasectl("chase " + program_path_ + " --threads=4096"), 2);
-  EXPECT_EQ(RunChasectl("chase " + program_path_ + " --hom-budget=0"), 2);
+  // and generate's arity is capped at Schema::kMaxArity.
+  EXPECT_EQ(RunChasectl("findshapes " + program_path_ + " --threads=0"), 2);
+  EXPECT_EQ(RunChasectl("findshapes " + program_path_ + " --threads=4096"),
+            2);
   EXPECT_EQ(RunChasectl("generate " + TempDir() +
                         "/chasectl_cli_test_bad.dlgp --arity=300"),
             2);
@@ -101,11 +98,7 @@ TEST_F(ChasectlCliTest, OutOfRangeNumericFlagsExitTwo) {
 
 TEST_F(ChasectlCliTest, WellFormedFlagsStillRun) {
   EXPECT_EQ(RunChasectl("chase " + program_path_ +
-                        " --variant=re --threads=2 --max-atoms=1000"),
-            0);
-  // hom-budget=1 drives the budgeted protocol at its tightest setting.
-  EXPECT_EQ(RunChasectl("chase " + program_path_ +
-                        " --variant=so --threads=2 --hom-budget=1"),
+                        " --variant=re --max-atoms=1000"),
             0);
   EXPECT_EQ(RunChasectl("findshapes " + program_path_ +
                         " --mode=exists --threads=2"),
@@ -137,6 +130,8 @@ TEST_F(ChasectlCliTest, UnknownFlagsExitTwo) {
            "check " + file + " --mode=l --thread=2",
            "check " + file + " --backend=disk",
            "chase " + file + " --shards=2",
+           "chase " + file + " --threads=2",
+           "chase " + file + " --hom-budget=4",
            "simplify " + file + " --variant=so",
            "stats " + file + " --print",
            "zoo " + file + " --threads=2",
@@ -249,7 +244,7 @@ TEST_F(ChasectlCliTest, ObservabilityRunsProduceArtifacts) {
   std::remove(trace_path.c_str());
   std::remove(metrics_path.c_str());
   EXPECT_EQ(RunChasectl("chase " + program_path_ +
-                        " --threads=2 --progress --trace=" + trace_path +
+                        " --progress --trace=" + trace_path +
                         " --metrics=" + metrics_path),
             0);
   // Non-empty artifacts that at least look like JSON objects; the real

@@ -1,8 +1,8 @@
 // Stress suite for the frontier-expansion engine, written to run under
 // ThreadSanitizer (the CHASE_TSAN CI job builds and runs it): the striped
 // seen-set, the per-worker discovery lists, the per-item output slots, and
-// the depth barrier are all exercised with more workers than cores and
-// deliberately few stripes, on the three adversarial lattice profiles the
+// the depth barrier are all exercised with more workers than cores, on
+// the three adversarial lattice profiles the
 // engine exists for — a wide shallow frontier, a narrow deep one, and one
 // giant predicate whose lattice must spread across the pool.
 
@@ -40,11 +40,10 @@ struct TreeRun {
   FrontierStats stats;
 };
 
-TreeRun RunTree(unsigned threads, unsigned stripes, uint64_t leaf_floor,
+TreeRun RunTree(unsigned threads, uint64_t leaf_floor,
                 std::vector<uint64_t> seeds) {
   TreeRun run;
-  FrontierPool<uint64_t, uint64_t> pool(
-      {.threads = threads, .seen_stripes = stripes});
+  FrontierPool<uint64_t, uint64_t> pool({.threads = threads});
   using Pool = FrontierPool<uint64_t, uint64_t>;
   Status status = pool.Run(
       std::move(seeds),
@@ -72,10 +71,9 @@ TreeRun RunTree(unsigned threads, unsigned stripes, uint64_t leaf_floor,
 }
 
 TEST(FrontierPoolTest, ParallelTreeWalkMatchesSerial) {
-  const TreeRun serial = RunTree(1, 0, 1 << 12, {0});
+  const TreeRun serial = RunTree(1, 1 << 12, {0});
   for (unsigned threads : {2u, 4u, 8u, 16u}) {
-    // Two stripes force heavy seen-set contention under TSan.
-    const TreeRun parallel = RunTree(threads, 2, 1 << 12, {0});
+    const TreeRun parallel = RunTree(threads, 1 << 12, {0});
     EXPECT_EQ(parallel.absorbed, serial.absorbed) << threads << " threads";
     EXPECT_EQ(parallel.depth_sizes, serial.depth_sizes);
     EXPECT_EQ(parallel.stats.depths, serial.stats.depths);
@@ -96,7 +94,7 @@ TEST(FrontierPoolTest, DuplicateDiscoveriesAdmitExactlyOnce) {
   for (unsigned threads : {1u, 8u}) {
     std::vector<uint64_t> seeds(64);
     std::iota(seeds.begin(), seeds.end(), uint64_t{1000});
-    Pool pool({.threads = threads, .seen_stripes = 2});
+    Pool pool({.threads = threads});
     std::atomic<uint64_t> expansions{0};
     FrontierStats stats;
     Status status = pool.Run(
@@ -192,7 +190,7 @@ TEST(FrontierPoolTest, BarrierReuseOverThousandsOfShallowDepths) {
   constexpr uint64_t kDepths = 3000;
   for (unsigned threads : {2u, 8u}) {
     using Pool = FrontierPool<uint64_t, uint64_t>;
-    Pool pool({.threads = threads, .seen_stripes = 2});
+    Pool pool({.threads = threads});
     std::vector<uint64_t> absorbed;
     FrontierStats stats;
     Status status = pool.Run(
@@ -231,12 +229,12 @@ TEST(FrontierPoolTest, SharedExternalWorkerPoolAcrossRuns) {
   // A caller-owned WorkerPool drives several engine runs (the chase engine
   // does exactly this across rounds): its thread count wins over
   // Options::threads, and results stay identical to the serial reference.
-  const TreeRun serial = RunTree(1, 0, 1 << 10, {0});
+  const TreeRun serial = RunTree(1, 1 << 10, {0});
   WorkerPool shared(4);
   for (int run = 0; run < 3; ++run) {
     TreeRun result;
     FrontierPool<uint64_t, uint64_t> pool(
-        {.threads = 1, .seen_stripes = 2, .pool = &shared});
+        {.threads = 1, .pool = &shared});
     using Pool = FrontierPool<uint64_t, uint64_t>;
     Status status = pool.Run(
         {0},
@@ -271,12 +269,12 @@ TEST(FrontierPoolTest, ParallelAbsorbMatchesSerialAbsorb) {
   // serial-absorb reference at every thread count (the per-chunk splits
   // are deterministic, the call order is not; the accumulation is
   // commutative, so the merged result is).
-  const TreeRun serial = RunTree(1, 0, 1 << 12, {0});
+  const TreeRun serial = RunTree(1, 1 << 12, {0});
   uint64_t serial_sum = 0;
   for (uint64_t item : serial.absorbed) serial_sum += item * 3 + 1;
   for (unsigned threads : {1u, 2u, 8u}) {
     using Pool = FrontierPool<uint64_t, uint64_t>;
-    Pool pool({.threads = threads, .seen_stripes = 2});
+    Pool pool({.threads = threads});
     std::vector<PaddedU64> worker_sum(threads);
     std::vector<PaddedU64> worker_items(threads);
     std::atomic<uint64_t> out_mismatches{0};
@@ -353,128 +351,6 @@ TEST(FrontierPoolTest, ParallelForCoversEveryIndexOnce) {
       ASSERT_EQ(hits[i].load(), 1u) << "index " << i;
     }
   }
-}
-
-// --------------------------------------------------------------------------
-// The budgeted enumerate→pause→apply→resume protocol (RunBudgetedTasks),
-// exercised through a synthetic producer: task t yields the sequence
-// t*1000, t*1000+1, … (lens[t] items) into its bounded buffer; the drain
-// concatenates. The whole contract is that the concatenation equals the
-// task-order concatenation of every sequence — for any thread count, any
-// budget, any skew — while no epoch ever holds more than threads × budget
-// buffered items.
-
-struct BudgetedRun {
-  std::vector<uint64_t> drained;  // drain-order concatenation
-  uint64_t peak_buffered = 0;     // measured at the epoch barrier
-  size_t epochs = 0;
-  uint64_t resumes = 0;
-};
-
-BudgetedRun RunBudgeted(unsigned threads, uint64_t budget,
-                        const std::vector<size_t>& lens,
-                        size_t cut_after = SIZE_MAX) {
-  BudgetedRun run;
-  WorkerPool pool(threads);
-  std::vector<std::vector<uint64_t>> buffers(lens.size());
-  std::vector<size_t> produced(lens.size(), 0);
-  std::atomic<uint64_t> resumes{0};
-  bool cut = false;
-  pool.RunBudgetedTasks(
-      lens.size(),
-      [&](unsigned /*worker*/, size_t t) -> bool {
-        resumes.fetch_add(1);
-        while (buffers[t].size() < budget) {
-          if (produced[t] == lens[t]) return true;  // exhausted
-          buffers[t].push_back(t * 1000 + produced[t]);
-          ++produced[t];
-        }
-        return produced[t] == lens[t];  // full buffer: park unless done
-      },
-      [&](size_t t) -> bool {
-        for (uint64_t v : buffers[t]) run.drained.push_back(v);
-        buffers[t].clear();
-        if (run.drained.size() >= cut_after) {
-          cut = true;
-          return false;
-        }
-        return true;
-      },
-      [&](size_t first, size_t count) {
-        ++run.epochs;
-        uint64_t buffered = 0;
-        for (size_t i = 0; i < count; ++i) buffered += buffers[first + i].size();
-        run.peak_buffered = std::max(run.peak_buffered, buffered);
-      });
-  run.resumes = resumes.load();
-  // After a completed (un-cut) run, every buffer must have been drained.
-  if (!cut) {
-    for (const auto& buffer : buffers) EXPECT_TRUE(buffer.empty());
-  }
-  return run;
-}
-
-std::vector<uint64_t> TaskOrderReference(const std::vector<size_t>& lens) {
-  std::vector<uint64_t> ref;
-  for (size_t t = 0; t < lens.size(); ++t) {
-    for (size_t j = 0; j < lens[t]; ++j) ref.push_back(t * 1000 + j);
-  }
-  return ref;
-}
-
-TEST(FrontierPoolTest, BudgetedTasksDrainInTaskOrder) {
-  // Skewed lengths — long tasks early, empty tasks interleaved, a long
-  // tail task — swept over threads × budget. Order and coverage must be
-  // oblivious to both knobs; the buffered peak must respect the window.
-  const std::vector<size_t> lens = {17, 0, 3, 120, 1, 0, 42, 7, 0, 63};
-  const std::vector<uint64_t> ref = TaskOrderReference(lens);
-  for (unsigned threads : {1u, 2u, 4u, 8u}) {
-    for (uint64_t budget : {1u, 2u, 7u, 1000u}) {
-      const BudgetedRun run = RunBudgeted(threads, budget, lens);
-      EXPECT_EQ(run.drained, ref)
-          << threads << " threads, budget " << budget;
-      EXPECT_LE(run.peak_buffered, uint64_t{threads} * budget)
-          << threads << " threads, budget " << budget;
-    }
-  }
-}
-
-TEST(FrontierPoolTest, BudgetedTasksBudgetOneStillMakesProgress) {
-  // budget=1 is the adversarial setting: every epoch moves each window
-  // task by at most one item, so the window's head task must be re-drained
-  // and resumed many times. 120 items at the head means >= 120 epochs —
-  // termination plus exact order is the regression.
-  const std::vector<size_t> lens = {120, 2, 2};
-  const BudgetedRun run = RunBudgeted(4, 1, lens);
-  EXPECT_EQ(run.drained, TaskOrderReference(lens));
-  EXPECT_GE(run.epochs, 120u);
-  EXPECT_LE(run.peak_buffered, 4u);
-}
-
-TEST(FrontierPoolTest, BudgetedTasksEarlyCutStopsTheRun) {
-  // The drain's false return is the chase's atom-limit cut: the protocol
-  // must stop immediately — no further resumes, no further drains — with
-  // the drained prefix exactly the task-order prefix.
-  const std::vector<size_t> lens = {10, 10, 10, 10};
-  const std::vector<uint64_t> ref = TaskOrderReference(lens);
-  for (unsigned threads : {1u, 4u}) {
-    const BudgetedRun run = RunBudgeted(threads, 1000, lens, /*cut_after=*/15);
-    // One drain overshoots past 15 at most to a task boundary.
-    ASSERT_GE(run.drained.size(), 15u) << threads;
-    ASSERT_LE(run.drained.size(), 20u) << threads;
-    for (size_t i = 0; i < run.drained.size(); ++i) {
-      EXPECT_EQ(run.drained[i], ref[i]) << threads;
-    }
-  }
-}
-
-TEST(FrontierPoolTest, BudgetedTasksHandleEmptyInputs) {
-  const BudgetedRun none = RunBudgeted(4, 8, {});
-  EXPECT_TRUE(none.drained.empty());
-  EXPECT_EQ(none.epochs, 0u);
-  const BudgetedRun all_empty = RunBudgeted(4, 8, {0, 0, 0, 0, 0});
-  EXPECT_TRUE(all_empty.drained.empty());
-  EXPECT_EQ(all_empty.peak_buffered, 0u);
 }
 
 TEST(FrontierPoolTest, ForEachChildHandlesMaxArity) {

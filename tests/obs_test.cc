@@ -498,6 +498,21 @@ TEST_F(ObsTest, NestedSpansAreWellFormedInTheArtifact) {
 // ---------------------------------------------------------------------------
 // Progress reporter
 
+TEST_F(ObsTest, MetricsDumperPrintsAFinalDump) {
+  obs::MetricsRegistry::SetEnabled(true);
+  obs::MetricsRegistry::Get().GetCounter("test.dumped")->Add(7);
+  std::ostringstream os;
+  {
+    // As below: the dump we see is the final one Stop() emits.
+    obs::MetricsDumper dumper(&os, std::chrono::seconds(3600));
+  }
+  obs::MetricsRegistry::SetEnabled(false);
+  const std::string out = os.str();
+  ASSERT_EQ(out.rfind("[metrics t=", 0), 0u) << out;
+  const JsonValue dump = MustParse(out.substr(out.find('\n') + 1));
+  EXPECT_EQ(dump.At("counters").At("test.dumped").number, 7.0) << out;
+}
+
 TEST_F(ObsTest, ProgressReporterPrintsAFinalLine) {
   obs::ChaseProgressSink sink;
   sink.Update(3, 1'234, 56, 789);
@@ -519,76 +534,62 @@ TEST_F(ObsTest, ProgressReporterPrintsAFinalLine) {
 
 TEST_F(ObsTest, ChaseIsBitIdenticalWithTracingOn) {
   // Non-linear transitive closure plus an existential fan-out: exercises
-  // rounds, the budgeted parallel homomorphism engine, and waves.
+  // rounds and per-rule body joins.
   auto program = ParseProgram(
       "e(a,b). e(b,c). e(c,d). e(d,f). e(f,g).\n"
       "e(X,Y), e(Y,Z) -> e(X,Z).\n"
       "e(X,Y) -> p(X,W).\n");
   ASSERT_TRUE(program.ok()) << program.status();
 
-  ChaseOptions serial_options;
-  serial_options.max_atoms = 50'000;
-  auto baseline = RunChase(*program->database, program->tgds, serial_options);
+  ChaseOptions options;
+  options.max_atoms = 50'000;
+  auto baseline = RunChase(*program->database, program->tgds, options);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
   std::vector<GroundAtom> baseline_atoms;
   baseline->instance.ForEachAtom(
       [&](const GroundAtom& atom) { baseline_atoms.push_back(atom); });
   ASSERT_GT(baseline->rounds, 1u);
 
-  for (unsigned threads : {1u, 2u, 4u}) {
-    obs::MetricsRegistry::Get().Reset();
-    obs::MetricsRegistry::SetEnabled(true);
-    obs::TraceRecorder::Get().Start();
+  obs::MetricsRegistry::Get().Reset();
+  obs::MetricsRegistry::SetEnabled(true);
+  obs::TraceRecorder::Get().Start();
+  auto traced = RunChase(*program->database, program->tgds, options);
+  obs::TraceRecorder::Get().Stop();
+  obs::MetricsRegistry::SetEnabled(false);
+  ASSERT_TRUE(traced.ok()) << traced.status();
 
-    ChaseOptions options = serial_options;
-    options.frontier_threads = threads;
-    options.hom_budget = 3;  // tight budget: many waves
-    auto traced = RunChase(*program->database, program->tgds, options);
-    obs::TraceRecorder::Get().Stop();
-    obs::MetricsRegistry::SetEnabled(false);
-    ASSERT_TRUE(traced.ok()) << traced.status();
+  EXPECT_EQ(traced->outcome, baseline->outcome);
+  EXPECT_EQ(traced->rounds, baseline->rounds);
+  EXPECT_EQ(traced->triggers_fired, baseline->triggers_fired);
+  std::vector<GroundAtom> traced_atoms;
+  traced->instance.ForEachAtom(
+      [&](const GroundAtom& atom) { traced_atoms.push_back(atom); });
+  EXPECT_EQ(traced_atoms, baseline_atoms);
 
-    const std::string label = "threads " + std::to_string(threads);
-    EXPECT_EQ(traced->outcome, baseline->outcome) << label;
-    EXPECT_EQ(traced->rounds, baseline->rounds) << label;
-    EXPECT_EQ(traced->triggers_fired, baseline->triggers_fired) << label;
-    std::vector<GroundAtom> traced_atoms;
-    traced->instance.ForEachAtom(
-        [&](const GroundAtom& atom) { traced_atoms.push_back(atom); });
-    EXPECT_EQ(traced_atoms, baseline_atoms) << label;
-
-    // The artifact is valid Chrome trace JSON, well nested, and carries
-    // the chase's structural spans.
-    std::ostringstream os;
-    obs::TraceRecorder::Get().WriteJson(os);
-    const JsonValue trace = MustParse(os.str());
-    ExpectWellNested(trace);
-    std::map<std::string, size_t> names;
-    for (const JsonValue& event : trace.At("traceEvents").array) {
-      if (event.At("ph").str == "X") ++names[event.At("name").str];
-    }
-    EXPECT_GE(names["run"], 1u) << label;
-    EXPECT_EQ(names["round"], baseline->rounds) << label;
-    if (threads > 1) {
-      // The parallel non-linear engine announces its budgeted windows.
-      EXPECT_GE(names["wave"], 1u) << label;
-      EXPECT_GE(names["hom_task"], 1u) << label;
-    }
-
-    // The registry mirrors the result counters as gauges.
-    std::ostringstream metrics_os;
-    obs::MetricsRegistry::Get().DumpJson(metrics_os);
-    const JsonValue dump = MustParse(metrics_os.str());
-    EXPECT_EQ(dump.At("gauges").At("chase.rounds").number,
-              static_cast<double>(traced->rounds))
-        << label;
-    EXPECT_EQ(dump.At("gauges").At("chase.triggers_fired").number,
-              static_cast<double>(traced->triggers_fired))
-        << label;
-    EXPECT_EQ(dump.At("gauges").At("chase.atoms").number,
-              static_cast<double>(traced->instance.NumAtoms()))
-        << label;
+  // The artifact is valid Chrome trace JSON, well nested, and carries the
+  // chase's structural spans.
+  std::ostringstream os;
+  obs::TraceRecorder::Get().WriteJson(os);
+  const JsonValue trace = MustParse(os.str());
+  ExpectWellNested(trace);
+  std::map<std::string, size_t> names;
+  for (const JsonValue& event : trace.At("traceEvents").array) {
+    if (event.At("ph").str == "X") ++names[event.At("name").str];
   }
+  EXPECT_EQ(names["run"], 1u);
+  EXPECT_EQ(names["round"], baseline->rounds);
+  EXPECT_GE(names["rule"], baseline->rounds);
+
+  // The registry mirrors the result counters as gauges.
+  std::ostringstream metrics_os;
+  obs::MetricsRegistry::Get().DumpJson(metrics_os);
+  const JsonValue dump = MustParse(metrics_os.str());
+  EXPECT_EQ(dump.At("gauges").At("chase.rounds").number,
+            static_cast<double>(traced->rounds));
+  EXPECT_EQ(dump.At("gauges").At("chase.triggers_fired").number,
+            static_cast<double>(traced->triggers_fired));
+  EXPECT_EQ(dump.At("gauges").At("chase.atoms").number,
+            static_cast<double>(traced->instance.NumAtoms()));
 }
 
 }  // namespace

@@ -4,8 +4,7 @@
 //   check <file> [--mode=sl|l] [--shapes=mem|db|index] [--threads=N]
 //                                                  termination check
 //   chase <file> [--variant=so|ob|re] [--max-atoms=N] [--max-rounds=N]
-//               [--threads=N] [--hom-budget=N] [--checkpoint=FILE]
-//               [--checkpoint-every=N] [--resume=FILE]
+//               [--checkpoint=FILE] [--checkpoint-every=N] [--resume=FILE]
 //               [--progress[=SECS]] [--metrics-interval=SECS] [--print]
 //   simplify <file> [--mode=scan|exists|index] [--threads=N] [--print]
 //                                                  simple_D(Σ) via the
@@ -446,8 +445,7 @@ int CmdCheck(const Args& args) {
 int CmdChase(const Args& args) {
   if (args.positional.empty()) {
     std::cerr << "usage: chasectl chase <file> [--variant=so|ob|re] "
-                 "[--max-atoms=N] [--max-rounds=N] [--threads=N] "
-                 "[--hom-budget=N] [--checkpoint=FILE] "
+                 "[--max-atoms=N] [--max-rounds=N] [--checkpoint=FILE] "
                  "[--checkpoint-every=N] [--resume=FILE] "
                  "[--progress[=SECS]] [--trace=FILE] [--metrics=FILE] "
                  "[--metrics-interval=SECS] [--print]\n";
@@ -470,7 +468,6 @@ int CmdChase(const Args& args) {
   if (!program.ok()) return Fail(program.status());
 
   ChaseOptions options;
-  if (!ParseThreads(args, &options.frontier_threads)) return 2;
   const std::string variant = args.Get("variant", "so");
   if (variant == "so") {
     options.variant = ChaseVariant::kSemiOblivious;
@@ -488,12 +485,6 @@ int CmdChase(const Args& args) {
   }
   if (!ParseU64Flag(args, "max-rounds", UINT64_MAX, 0, UINT64_MAX,
                     &options.max_rounds)) {
-    return 2;
-  }
-  // Per-fragment homomorphism buffer of the parallel non-linear engine
-  // (peak buffered homs <= threads x budget); ignored when --threads=1.
-  if (!ParseU64Flag(args, "hom-budget", options.hom_budget, 1, UINT64_MAX,
-                    &options.hom_budget)) {
     return 2;
   }
 
@@ -568,11 +559,7 @@ int CmdChase(const Args& args) {
             << ChaseOutcomeName(result->outcome) << " after "
             << result->rounds << " rounds, " << result->triggers_fired
             << " triggers, " << result->instance.NumAtoms() << " atoms, "
-            << chase_ms << " ms\n"
-            << "  prefiltered: " << result->triggers_prefiltered
-            << " satisfied trigger(s) skipped on the worker pool\n"
-            << "  peak buffered homs: " << result->peak_buffered_homs
-            << " (parallel non-linear engine; 0 = serial path)\n";
+            << chase_ms << " ms\n";
   if (args.Has("print")) {
     result->instance.ForEachAtom([&](const GroundAtom& atom) {
       std::cout << ToString(*program->schema, *program->database, atom)
@@ -1121,8 +1108,8 @@ int Usage() {
       "[--threads=N] [--snapshot=path.chidx]\n"
       "  chasectl explain <file>               (non-termination witness)\n"
       "  chasectl chase <file> [--variant=so|ob|re] [--max-atoms=N] "
-      "[--max-rounds=N] [--threads=N] [--hom-budget=N] [--checkpoint=FILE] "
-      "[--checkpoint-every=N] [--resume=FILE] [--progress[=SECS]] "
+      "[--max-rounds=N] [--checkpoint=FILE] [--checkpoint-every=N] "
+      "[--resume=FILE] [--progress[=SECS]] "
       "[--metrics-interval=SECS] [--print]\n"
       "  chasectl simplify <file> [--mode=scan|exists|index] [--threads=N] "
       "[--print]\n"
@@ -1166,9 +1153,9 @@ const std::vector<Command>& Commands() {
        {"mode", "shapes", "threads", "snapshot", "trace", "metrics"}},
       {"explain", CmdExplain, {}},
       {"chase", CmdChase,
-       {"variant", "max-atoms", "max-rounds", "threads", "hom-budget",
-        "checkpoint", "checkpoint-every", "resume", "progress",
-        "metrics-interval", "print", "trace", "metrics"}},
+       {"variant", "max-atoms", "max-rounds", "checkpoint",
+        "checkpoint-every", "resume", "progress", "metrics-interval", "print",
+        "trace", "metrics"}},
       {"simplify", CmdSimplify,
        {"mode", "threads", "print", "trace", "metrics"}},
       {"query", CmdQuery, {}},

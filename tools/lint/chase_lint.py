@@ -27,7 +27,7 @@ patterns that protect it, on every file, in CI:
 
   naked-thread     std::thread creation outside the sanctioned spawners
                    (WorkerPool in src/exec/frontier_pool,
-                   ProgressReporter/MetricsDumper in src/obs/progress).
+                   PeriodicTicker in src/obs/progress).
                    One pool, one reporter tick — nothing else spawns.
 
   envelope-io      Binary envelope magics ("CHBN", "CHSI", "CHCK") outside
@@ -356,7 +356,7 @@ class FileLinter:
                 self.report(
                     i, "naked-thread",
                     "std::thread outside the sanctioned spawners "
-                    "(WorkerPool, ProgressReporter/MetricsDumper); "
+                    "(WorkerPool, obs::PeriodicTicker); "
                     "run work on a WorkerPool")
 
     def check_envelope_io(self):
