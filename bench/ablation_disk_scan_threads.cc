@@ -9,8 +9,12 @@
 //
 // Each thread count scans a freshly opened database (cold pool) and then
 // re-scans it (warm pool) with the uniform access/I-O metering columns of
-// the other FindShapes benches. Speedups are against the 1-thread cold
-// scan. Every run is checked against the serial in-memory scan.
+// the other FindShapes benches, plus "dup-reads": pages read twice because
+// two workers missed on the same page at once and the loser's read was
+// dropped (IoCounters::duplicate_reads). Pages read beyond the 1-thread
+// count that are not duplicate reads were evicted and read again. Speedups
+// are against the 1-thread cold scan. Every run is checked against the
+// serial in-memory scan.
 
 #include <cstdio>
 #include <iostream>
@@ -78,6 +82,7 @@ int main(int argc, char** argv) {
   for (const std::string& name : AccessColumnNames()) {
     columns.push_back(name);
   }
+  columns.push_back("dup-reads");
   TablePrinter table(columns);
 
   double base_ms = 0;  // 1 thread, cold
@@ -129,6 +134,8 @@ int main(int argc, char** argv) {
                               warm ? warm_io : cold_io)) {
         row.push_back(value);
       }
+      row.push_back(
+          std::to_string((warm ? warm_io : cold_io).duplicate_reads));
       table.AddRow(row);
     }
   }

@@ -9,7 +9,6 @@
 
 #include "base/signal_flag.h"
 #include "base/status.h"
-#include "chase/body_partition.h"
 #include "chase/instance.h"
 #include "chase/join_cursor.h"
 #include "index/sharded_shape_index.h"
@@ -380,7 +379,7 @@ StatusOr<ChaseResult> RunChase(const Database& database,
     };
 
     // One task per (rule, delta position), in the round's trigger order
-    // (chase/body_partition.h).
+    // (chase/join_cursor.h).
     for (size_t rule = 0; rule < tgds.size() && !hit_atom_limit; ++rule) {
       const Tgd& tgd = tgds[rule];
       for (size_t delta_pos = 0;

@@ -38,40 +38,11 @@ bool BodyHomToShape(const Tgd& tgd, const IdTuple& id,
   return true;
 }
 
-// The base-schema shape of `atom` under specialization `f` — exactly the
-// shape SimplifyRuleAtom computes, but without touching a ShapeSchema, so
-// frontier workers can derive successor shapes in parallel while all
-// interning stays on the serial absorb path (deterministic predicate ids).
-Shape ShapeUnderSpecialization(const Tgd& tgd, const RuleAtom& atom,
-                               const Specialization& f) {
-  std::vector<VarId> tuple;
-  tuple.reserve(atom.args.size());
-  for (VarId var : atom.args) {
-    tuple.push_back(tgd.IsUniversal(var) ? f[var] : var);
-  }
-  return Shape(atom.pred, IdOf(std::span<const VarId>(tuple)));
-}
-
-// The (rule, specialization) pairs one shape admits, with the head shapes
-// derived under each specialization — the parallel half of an expansion.
-// The head shapes are computed exactly once, here on the workers: the same
-// vector feeds successor discovery AND the serial SimplifyTgd absorb call,
-// which previously re-derived every head shape a second time.
-struct ShapeMatch {
-  size_t rule;
-  Specialization f;
-  std::vector<Shape> head_shapes;
-};
-struct ShapeMatches {
-  std::vector<ShapeMatch> rules;
-};
-
 }  // namespace
 
 StatusOr<DynamicSimplificationResult> DynamicSimplificationFromShapes(
     const Schema& schema, const std::vector<Tgd>& tgds,
-    const std::vector<Shape>& database_shapes, unsigned threads,
-    WorkerPool* worker_pool) {
+    const std::vector<Shape>& database_shapes) {
   if (!AllLinear(tgds)) {
     return InvalidArgumentError(
         "dynamic simplification requires linear TGDs");
@@ -93,46 +64,24 @@ StatusOr<DynamicSimplificationResult> DynamicSimplificationFromShapes(
     rules_by_body_pred[tgds[rule].body()[0].pred].push_back(rule);
   }
 
-  // S is the engine's seen-set, ΔS its per-depth frontier: each (rule,
-  // shape) pair is processed at most once because a shape is admitted into
-  // a frontier exactly once. Expansion (homomorphism checks + successor
-  // shapes) runs parallel; SimplifyTgd — which interns predicates into the
-  // shared shape schema — runs on the serial absorb path in canonical
-  // order, so the emitted TGD list and the interning order are independent
-  // of the thread count.
-  using Pool = FrontierPool<Shape, ShapeMatches, ShapeHash>;
-  Pool pool({.threads = std::max(1u, threads), .pool = worker_pool});
-  Status status = pool.Run(
+  // S is the frontier's seen-set, ΔS its current depth: each (rule, shape)
+  // pair is processed at most once because a shape is admitted into a
+  // frontier exactly once.
+  std::vector<uint8_t> var_id_values;
+  std::vector<Shape> head_shapes;
+  const Status status = ExpandFrontier<Shape, ShapeHash>(
       database_shapes,
-      [&](unsigned /*worker*/, const Shape& shape, ShapeMatches* out,
-          Pool::Discoveries* discovered) -> Status {
-        std::vector<uint8_t> var_id_values;
+      [&](const Shape& shape, const auto& discover) -> Status {
         for (size_t rule : rules_by_body_pred[shape.pred]) {
           const Tgd& tgd = tgds[rule];
           if (!BodyHomToShape(tgd, shape.id, var_id_values)) continue;
-          Specialization f = SpecializationFromIdValues(var_id_values);
-          std::vector<Shape> head_shapes;
-          head_shapes.reserve(tgd.head().size());
-          for (const RuleAtom& head_atom : tgd.head()) {
-            head_shapes.push_back(
-                ShapeUnderSpecialization(tgd, head_atom, f));
-            discovered->Discover(head_shapes.back());
-          }
-          out->rules.push_back(
-              {rule, std::move(f), std::move(head_shapes)});
-        }
-        return OkStatus();
-      },
-      [&](std::span<const Shape> frontier,
-          std::span<ShapeMatches> outs) -> Status {
-        for (size_t i = 0; i < frontier.size(); ++i) {
-          for (ShapeMatch& match : outs[i].rules) {
-            CHASE_ASSIGN_OR_RETURN(
-                Tgd simplified,
-                SimplifyTgd(tgds[match.rule], match.f, *result.shape_schema,
-                            std::span<const Shape>(match.head_shapes)));
-            result.tgds.push_back(std::move(simplified));
-          }
+          head_shapes.clear();
+          CHASE_ASSIGN_OR_RETURN(
+              Tgd simplified,
+              SimplifyTgd(tgd, SpecializationFromIdValues(var_id_values),
+                          *result.shape_schema, &head_shapes));
+          result.tgds.push_back(std::move(simplified));
+          for (Shape& head : head_shapes) discover(std::move(head));
         }
         return OkStatus();
       },
@@ -145,14 +94,12 @@ StatusOr<DynamicSimplificationResult> DynamicSimplificationFromShapes(
 
 StatusOr<DynamicSimplificationResult> DynamicSimplification(
     const Database& database, const std::vector<Tgd>& tgds,
-    storage::ShapeFinderMode mode, unsigned threads) {
+    storage::ShapeFinderMode mode) {
   storage::Catalog catalog(&database);
   storage::MemoryShapeSource source(&catalog);
-  CHASE_ASSIGN_OR_RETURN(
-      std::vector<Shape> shapes,
-      index::FindShapes(source, {.mode = mode, .threads = threads}));
-  return DynamicSimplificationFromShapes(database.schema(), tgds, shapes,
-                                         threads);
+  CHASE_ASSIGN_OR_RETURN(std::vector<Shape> shapes,
+                         index::FindShapes(source, {.mode = mode}));
+  return DynamicSimplificationFromShapes(database.schema(), tgds, shapes);
 }
 
 }  // namespace chase

@@ -8,12 +8,9 @@
 // result simple_D(Σ) is weakly acyclic iff chase(D, Σ) is finite (Lemmas
 // 4.3 + 4.5 with Theorem 3.6).
 //
-// The worklist runs depth-synchronously through chase::FrontierPool:
-// shapes first derived at the same depth are independent, so their
-// (rule, shape) homomorphism checks expand in parallel when `threads` > 1,
-// while the simplified TGDs are emitted serially per depth. The emitted
-// order is canonical and documented (see DynamicSimplificationResult),
-// identical for every thread count.
+// The worklist runs serially through chase::ExpandFrontier, one derivation
+// depth at a time with each depth in ascending shape order, so the emitted
+// order is canonical and documented (see DynamicSimplificationResult).
 
 #ifndef CHASE_CORE_DYNAMIC_SIMPLIFICATION_H_
 #define CHASE_CORE_DYNAMIC_SIMPLIFICATION_H_
@@ -41,8 +38,9 @@ struct DynamicSimplificationResult {
   // body shape by rule index ascending. Duplicates are kept — one entry per
   // (rule, shape) pair with a compatible homomorphism — and the shape
   // schema's predicates are interned in exactly this emission order, so the
-  // whole result (TGDs, predicate ids, names) is bit-identical for every
-  // thread count. Pinned by DynamicSimplificationTest.CanonicalTgdOrder.
+  // whole result (TGDs, predicate ids, names) depends only on Σ and the
+  // set of database shapes, not on their order or multiplicity. Pinned by
+  // DynamicSimplificationTest.CanonicalTgdOrder.
   std::vector<Tgd> tgds;
   size_t num_initial_shapes = 0;  // |shape(D)|
   size_t num_derived_shapes = 0;  // |Σ(shape(D))|
@@ -51,24 +49,16 @@ struct DynamicSimplificationResult {
 
 // Algorithm 2 given the database shapes (the db-dependent FindShapes step is
 // separated out so callers can time it independently, as the paper does).
-// `threads` <= 1 expands the worklist inline on the calling thread; the
-// result is identical either way. A non-null `pool` runs the worklist on
-// that caller-owned persistent WorkerPool instead (its thread count wins
-// over `threads`) — how IsChaseFiniteL shares one pool between FindShapes
-// and this worklist. The canonical result is unchanged in every case.
 [[nodiscard]]
 StatusOr<DynamicSimplificationResult> DynamicSimplificationFromShapes(
     const Schema& schema, const std::vector<Tgd>& tgds,
-    const std::vector<Shape>& database_shapes, unsigned threads = 1,
-    WorkerPool* pool = nullptr);
+    const std::vector<Shape>& database_shapes);
 
 // FindShapes(D) + Algorithm 2. `database.schema()` must contain every
-// predicate of `tgds`. `threads` drives both the shape finder and the
-// simplification worklist.
+// predicate of `tgds`. Shape finding and the worklist both run serially.
 [[nodiscard]] StatusOr<DynamicSimplificationResult> DynamicSimplification(
     const Database& database, const std::vector<Tgd>& tgds,
-    storage::ShapeFinderMode mode = storage::ShapeFinderMode::kScan,
-    unsigned threads = 1);
+    storage::ShapeFinderMode mode = storage::ShapeFinderMode::kScan);
 
 }  // namespace chase
 

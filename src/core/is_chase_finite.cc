@@ -89,13 +89,6 @@ StatusOr<bool> IsChaseFiniteL(const Database& database,
   LCheckStats local;
   LCheckStats& out = stats != nullptr ? *stats : local;
 
-  // One worker pool for the whole check, shared by FindShapes and the
-  // simplification worklist: a check pays one thread spawn, not one per
-  // phase.
-  std::optional<WorkerPool> owned_pool;
-  if (options.threads > 1) owned_pool.emplace(options.threads);
-  WorkerPool* pool = owned_pool.has_value() ? &*owned_pool : nullptr;
-
   // The db-dependent component: FindShapes (Section 8's t-shapes), unless
   // the caller maintains the shapes incrementally (Section 10) — either as
   // a pre-extracted vector or as a live sharded index.
@@ -112,7 +105,6 @@ StatusOr<bool> IsChaseFiniteL(const Database& database,
         storage::FindShapesOptions find_options;
         find_options.mode = options.shape_finder;
         find_options.threads = options.threads;
-        find_options.pool = pool;
         CHASE_ASSIGN_OR_RETURN(computed,
                                index::FindShapes(source, find_options));
       }
@@ -134,8 +126,7 @@ StatusOr<bool> IsChaseFiniteL(const Database& database,
     obs::TraceSpan graph_span("check", "t_graph");
     CHASE_ASSIGN_OR_RETURN(
         DynamicSimplificationResult result,
-        DynamicSimplificationFromShapes(
-            database.schema(), tgds, shapes, options.threads, pool));
+        DynamicSimplificationFromShapes(database.schema(), tgds, shapes));
     simplified_opt.emplace(std::move(result));
     graph_opt.emplace(BuildDependencyGraph(
         simplified_opt->shape_schema->schema(), simplified_opt->tgds));

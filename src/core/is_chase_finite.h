@@ -48,11 +48,12 @@ struct SlCheckStats {
 
 struct LCheckOptions {
   storage::ShapeFinderMode shape_finder = storage::ShapeFinderMode::kScan;
-  // Worker threads for both parallel phases: the db-dependent FindShapes
-  // component and the dynamic-simplification worklist (<= 1 runs both
-  // serially). Above 1 the check spawns one WorkerPool and runs both
-  // phases on it. Each phase is deterministic in its thread count, so this
-  // only changes wall-clock, never the verdict or the stats.
+  // Scan threads of the db-dependent FindShapes component (<= 1 runs
+  // serially): they drive the work-partitioned tuple scan of the scan plan
+  // and the index build. The exists plan and the dynamic-simplification
+  // worklist always run serially. The returned shape set is the same at
+  // any thread count, so this only changes wall-clock, never the verdict
+  // or the stats.
   unsigned threads = 1;
   // When set, shape(D) is extracted from this incrementally maintained
   // index (index::ShardedShapeIndex::CurrentShapes) instead of scanning

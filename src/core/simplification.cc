@@ -22,38 +22,18 @@ PredId ShapeSchema::Intern(const Shape& shape) {
   return id;
 }
 
-namespace {
-
-// The one construction path for a simplified atom. When `precomputed` is
-// non-null it is interned as the atom's shape instead of re-deriving the
-// canonicalization from the substituted tuple — the arguments always come
-// from the tuple either way, so both SimplifyTgd overloads stay in
-// lockstep by construction.
-RuleAtom SimplifyRuleAtomImpl(const RuleAtom& atom,
-                              const std::vector<VarId>& subst,
-                              ShapeSchema& shape_schema,
-                              const Shape* precomputed, Shape* shape_out) {
-  std::vector<VarId> tuple;
-  tuple.reserve(atom.args.size());
-  for (VarId var : atom.args) tuple.push_back(subst[var]);
-  RuleAtom simplified;
-  if (precomputed != nullptr) {
-    simplified.pred = shape_schema.Intern(*precomputed);
-  } else {
-    Shape shape(atom.pred, IdOf(std::span<const VarId>(tuple)));
-    simplified.pred = shape_schema.Intern(shape);
-    if (shape_out != nullptr) *shape_out = std::move(shape);
-  }
-  simplified.args = UniqueOf(std::span<const VarId>(tuple));
-  return simplified;
-}
-
-}  // namespace
-
 RuleAtom SimplifyRuleAtom(const RuleAtom& atom,
                           const std::vector<VarId>& subst,
                           ShapeSchema& shape_schema, Shape* shape_out) {
-  return SimplifyRuleAtomImpl(atom, subst, shape_schema, nullptr, shape_out);
+  std::vector<VarId> tuple;
+  tuple.reserve(atom.args.size());
+  for (VarId var : atom.args) tuple.push_back(subst[var]);
+  Shape shape(atom.pred, IdOf(std::span<const VarId>(tuple)));
+  RuleAtom simplified;
+  simplified.pred = shape_schema.Intern(shape);
+  simplified.args = UniqueOf(std::span<const VarId>(tuple));
+  if (shape_out != nullptr) *shape_out = std::move(shape);
+  return simplified;
 }
 
 namespace {
@@ -80,50 +60,24 @@ std::vector<VarId> SubstOf(const Tgd& tgd, const Specialization& f) {
   return subst;
 }
 
-// The one simplification path behind both SimplifyTgd overloads.
-// `precomputed_heads`, when non-null, points at head().size() shapes
-// interned in place of re-deriving each head atom's canonicalization;
-// `head_shapes_out` collects the derived shapes for callers that want
-// them (only meaningful when deriving, i.e. precomputed_heads == null).
-StatusOr<Tgd> SimplifyTgdImpl(const Tgd& tgd, const Specialization& f,
-                              ShapeSchema& shape_schema,
-                              const Shape* precomputed_heads,
-                              std::vector<Shape>* head_shapes_out) {
+}  // namespace
+
+StatusOr<Tgd> SimplifyTgd(const Tgd& tgd, const Specialization& f,
+                          ShapeSchema& shape_schema,
+                          std::vector<Shape>* head_shapes) {
   CHASE_RETURN_IF_ERROR(ValidateSimplification(tgd, f));
   const std::vector<VarId> subst = SubstOf(tgd, f);
   std::vector<RuleAtom> body = {
       SimplifyRuleAtom(tgd.body()[0], subst, shape_schema, nullptr)};
   std::vector<RuleAtom> head;
   head.reserve(tgd.head().size());
-  for (size_t i = 0; i < tgd.head().size(); ++i) {
+  for (const RuleAtom& atom : tgd.head()) {
     Shape shape;
-    head.push_back(SimplifyRuleAtomImpl(
-        tgd.head()[i], subst, shape_schema,
-        precomputed_heads != nullptr ? &precomputed_heads[i] : nullptr,
-        head_shapes_out != nullptr ? &shape : nullptr));
-    if (head_shapes_out != nullptr) {
-      head_shapes_out->push_back(std::move(shape));
-    }
+    head.push_back(SimplifyRuleAtom(atom, subst, shape_schema,
+                                    head_shapes != nullptr ? &shape : nullptr));
+    if (head_shapes != nullptr) head_shapes->push_back(std::move(shape));
   }
   return Tgd::Create(std::move(body), std::move(head));
-}
-
-}  // namespace
-
-StatusOr<Tgd> SimplifyTgd(const Tgd& tgd, const Specialization& f,
-                          ShapeSchema& shape_schema,
-                          std::vector<Shape>* head_shapes) {
-  return SimplifyTgdImpl(tgd, f, shape_schema, nullptr, head_shapes);
-}
-
-StatusOr<Tgd> SimplifyTgd(const Tgd& tgd, const Specialization& f,
-                          ShapeSchema& shape_schema,
-                          std::span<const Shape> head_shapes) {
-  if (head_shapes.size() != tgd.head().size()) {
-    return InvalidArgumentError(
-        "precomputed head shapes do not match the TGD's head");
-  }
-  return SimplifyTgdImpl(tgd, f, shape_schema, head_shapes.data(), nullptr);
 }
 
 StatusOr<StaticSimplificationResult> StaticSimplification(

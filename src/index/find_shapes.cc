@@ -1,7 +1,5 @@
 #include "index/find_shapes.h"
 
-#include <algorithm>
-
 #include "base/status.h"
 #include "index/sharded_shape_index.h"
 #include "logic/shape.h"
@@ -18,9 +16,7 @@ StatusOr<std::vector<Shape>> FindShapes(
   if (options.mode != storage::ShapeFinderMode::kIndex) {
     return storage::FindShapes(source, options);
   }
-  const unsigned threads = options.pool != nullptr
-                               ? std::max(1u, options.pool->threads())
-                               : std::max(1u, options.threads);
+  const unsigned threads = storage::EffectiveThreads(options);
   obs::TraceSpan find_span("storage", "find_shapes", "mode",
                            static_cast<int64_t>(options.mode), "threads",
                            static_cast<int64_t>(threads));
@@ -30,7 +26,7 @@ StatusOr<std::vector<Shape>> FindShapes(
   CHASE_ASSIGN_OR_RETURN(
       ShardedShapeIndex idx,
       ShardedShapeIndex::Build(source,
-                               {options.index_shards, threads, options.pool}));
+                               {options.index_shards, threads}));
   return idx.CurrentShapes();
 }
 

@@ -8,7 +8,6 @@
 #include "base/padded.h"
 #include "base/status.h"
 #include "base/sync.h"
-#include "exec/frontier_pool.h"
 #include "io/binary_io.h"
 #include "logic/database.h"
 #include "logic/schema.h"
@@ -230,9 +229,7 @@ std::vector<Shape> ShardedShapeIndex::CurrentShapes() const {
 StatusOr<ShardedShapeIndex> ShardedShapeIndex::Build(
     const storage::ShapeSource& source, const IndexBuildOptions& options) {
   ShardedShapeIndex index(ClampShards(options.shards));
-  const unsigned threads = options.pool != nullptr
-                               ? std::max(1u, options.pool->threads())
-                               : std::max(1u, options.threads);
+  const unsigned threads = std::max(1u, options.threads);
   obs::TraceSpan build_span("index", "build", "shards",
                             static_cast<int64_t>(index.num_shards()),
                             "threads", static_cast<int64_t>(threads));
@@ -247,8 +244,7 @@ StatusOr<ShardedShapeIndex> ShardedShapeIndex::Build(
       [&](unsigned t, PredId pred, std::span<const uint32_t> tuple) {
         ++local[t][Shape(pred, IdOf(tuple))];
         local_fp[t].value += TupleFingerprint(pred, tuple);
-      },
-      options.pool));
+      }));
   for (unsigned t = 0; t < threads; ++t) index.MergeCounts(local[t]);
   uint64_t fingerprint = 0;
   for (unsigned t = 0; t < threads; ++t) fingerprint += local_fp[t].value;

@@ -55,10 +55,6 @@ namespace index {
 struct IndexBuildOptions {
   unsigned shards = 0;   // 0 = kDefaultShards
   unsigned threads = 1;  // <= 1 scans serially
-  // When non-null the build's scan runs on this caller-owned persistent
-  // WorkerPool (its thread count wins over `threads`) — see
-  // storage::ParallelTupleScan.
-  WorkerPool* pool = nullptr;
 };
 
 // Order-independent content fingerprint machinery: every indexed tuple

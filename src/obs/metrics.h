@@ -8,7 +8,7 @@
 // place they all land (re-homed, like the paper's t-parse/t-graph/t-comp/
 // t-shapes via TimeParams below, or mirrored at the layer that owns them:
 // the chase engine publishes its result counters, IsChaseFinite its phase
-// timings, the pager its pool traffic, the worker pool its busy/wait time).
+// timings, the pager its pool traffic, ParallelFor its busy/wait time).
 //
 // Overhead discipline: everything is OFF by default. Every hot-path
 // publication site is gated on MetricsRegistry::enabled() — a single

@@ -2,12 +2,12 @@
 // spans, written out as Chrome trace-event JSON that loads directly in
 // Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 //
-// Design for a system whose hot loops are worker pools:
+// Design for a system whose hot loops run on several threads:
 //
 //  * Recording is OFF by default behind one process-wide atomic. A
 //    disabled TraceSpan is a single relaxed load — no clock read, no
 //    buffer touch — so instrumented layers (chase rounds, frontier depths,
-//    pool epochs, pager faults) cost nothing when nobody is watching.
+//    scan chunks, pager faults) cost nothing when nobody is watching.
 //  * Each emitting thread owns one ring buffer. Emit is wait-free for the
 //    owner: write the slot, then publish it with a release store of the
 //    head index. The writer is the only producer of its buffer, so there
@@ -26,8 +26,8 @@
 //
 // Start/Stop delimit a session and must not race with in-flight spans
 // (enable before spawning instrumented work, write after it quiesces —
-// worker pools park between epochs, so any point between chasectl phases
-// qualifies). Emit concurrent with WriteJson is safe, as above.
+// ParallelFor joins its threads before it returns, so any point between
+// chasectl phases qualifies). Emit concurrent with WriteJson is safe, as above.
 
 #ifndef CHASE_OBS_TRACE_H_
 #define CHASE_OBS_TRACE_H_

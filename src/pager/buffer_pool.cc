@@ -17,7 +17,7 @@ namespace chase {
 namespace pager {
 namespace {
 
-// Mirrors of the per-shard hit/miss stats in the metrics registry, so a
+// Mirrors of the per-shard hit/miss/duplicate-read stats in the metrics registry, so a
 // `--metrics` dump sees pool traffic without polling stats(). Gated and
 // cached: disabled runs pay one relaxed load, enabled runs one sharded
 // relaxed fetch_add on a pointer resolved once per process.
@@ -33,6 +33,13 @@ void CountPoolMiss() {
   static obs::Counter* const misses =
       obs::MetricsRegistry::Get().GetCounter("pager.pool_misses");
   misses->Add(1);
+}
+
+void CountDuplicateRead() {
+  if (!obs::MetricsRegistry::enabled()) return;
+  static obs::Counter* const duplicates =
+      obs::MetricsRegistry::Get().GetCounter("pager.duplicate_reads");
+  duplicates->Add(1);
 }
 
 }  // namespace
@@ -162,6 +169,8 @@ StatusOr<PageGuard> BufferPool::Fetch(PageId page_id) {
         if (it == shard.page_table.end()) return std::nullopt;
         // A peer fetch won the race; the staged read is
         // wasted, the resident frame is the one to pin.
+        ++shard.stats.duplicate_reads;
+        CountDuplicateRead();
         Frame& frame = shard.frames[it->second];
         ++frame.pin_count;
         frame.referenced = true;

@@ -41,6 +41,9 @@ struct BufferPoolStats {
   uint64_t misses = 0;
   uint64_t evictions = 0;
   uint64_t dirty_writebacks = 0;
+  // Misses whose staged read lost the install race to a concurrent fetch
+  // of the same page: the read was done twice, the loser's copy dropped.
+  uint64_t duplicate_reads = 0;
 
   void Reset() { *this = BufferPoolStats(); }
 
@@ -49,6 +52,7 @@ struct BufferPoolStats {
     misses += other.misses;
     evictions += other.evictions;
     dirty_writebacks += other.dirty_writebacks;
+    duplicate_reads += other.duplicate_reads;
     return *this;
   }
 };

@@ -61,6 +61,7 @@ storage::IoCounters DiskShapeSource::Io() const {
   out.pages_written = io.pages_written.load(std::memory_order_relaxed);
   out.pool_hits = pool.hits;
   out.pool_misses = pool.misses;
+  out.duplicate_reads = pool.duplicate_reads;
   return out;
 }
 

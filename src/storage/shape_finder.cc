@@ -25,109 +25,43 @@ std::vector<Shape> Sorted(ShapeSet shapes) {
 
 // ---------------------------------------------------------------------------
 // Scan plan: full strided scans, hashing every tuple's id-tuple. The scan
-// driver (chunking, worker pool, metering) is ParallelTupleScan in the
+// driver (chunking, worker threads, metering) is ParallelTupleScan in the
 // ShapeSource layer, shared with the sharded-index build.
 
 Status ScanShapes(const ShapeSource& source,
                   const std::vector<PredId>& preds, unsigned threads,
-                  WorkerPool* pool, ShapeSet* shapes) {
+                  ShapeSet* shapes) {
   std::vector<ShapeSet> local(threads);
   CHASE_RETURN_IF_ERROR(ParallelTupleScan(
       source, preds, threads,
       [&](unsigned t, PredId pred, std::span<const uint32_t> tuple) {
         local[t].insert(ShapeOfTuple(pred, tuple));
-      },
-      pool));
+      }));
   for (unsigned t = 0; t < threads; ++t) shapes->merge(local[t]);
   return OkStatus();
 }
 
 // ---------------------------------------------------------------------------
-// Exists plan: the Apriori lattice walk over EXISTS probes.
+// Exists plan: the Apriori lattice walk over EXISTS probes, one predicate
+// at a time.
 
 Status WalkShapesForPred(const ShapeSource& source, PredId pred,
-                         AccessStats* stats, ShapeSet* shapes) {
-  Status failure = OkStatus();
-  auto probe = [&](const IdTuple& id, bool exact) {
-    if (!failure.ok()) return false;  // abort the walk on the first error
-    StatusOr<bool> found = ProbeShapeExists(source, pred, id, exact, stats);
-    if (!found.ok()) {
-      failure = found.status();
-      return false;
-    }
-    return *found;
-  };
-  WalkShapeLattice(
-      source.schema().Arity(pred),
-      [&](const IdTuple& id) { return probe(id, /*exact=*/false); },
-      [&](const IdTuple& id) { return probe(id, /*exact=*/true); },
-      [&](const IdTuple& id) { shapes->insert(Shape(pred, id)); });
-  return failure;
+                         ShapeSet* shapes, FrontierStats* stats) {
+  return WalkShapeLattice(
+      pred, source.schema().Arity(pred),
+      [&](const IdTuple& id, bool exact) {
+        return ProbeShapeExists(source, pred, id, exact);
+      },
+      [&](const Shape& shape) { shapes->insert(shape); }, stats);
 }
 
-// Frontier-parallel exists plan: the lattices of every predicate form one
-// global frontier of candidate shapes — seeded with each predicate's
-// all-distinct tuple — that FrontierPool expands depth-synchronously. The
-// probes of one depth are independent, so a single high-arity predicate
-// (one huge lattice) spreads across the whole pool instead of pinning one
-// worker, and pruning stays exact: a candidate only discovers its coarser
-// children when its relaxed query succeeded, just like the serial walk.
-Status WalkShapesFrontier(const ShapeSource& source,
-                          const std::vector<PredId>& preds, unsigned threads,
-                          WorkerPool* worker_pool, ShapeSet* shapes,
-                          FrontierStats* frontier_stats) {
-  struct Probe {
-    bool present = false;
-  };
-  std::vector<Shape> seeds;
-  seeds.reserve(preds.size());
-  for (PredId pred : preds) {
-    seeds.emplace_back(pred, AllDistinctIdTuple(source.schema().Arity(pred)));
-  }
-
-  std::vector<AccessStats> local_stats(threads);
-  FrontierPool<Shape, Probe, ShapeHash> pool(
-      {.threads = threads, .pool = worker_pool});
-  const auto expand =
-      [&](unsigned worker, const Shape& candidate, Probe* out,
-          FrontierPool<Shape, Probe, ShapeHash>::Discoveries* discovered)
-      -> Status {
-    AccessStats* stats = &local_stats[worker];
-    CHASE_ASSIGN_OR_RETURN(
-        const bool relaxed,
-        ProbeShapeExists(source, candidate.pred, candidate.id,
-                         /*exact=*/false, stats));
-    if (!relaxed) return OkStatus();  // prunes the whole subtree
-    CHASE_ASSIGN_OR_RETURN(
-        const bool full,
-        ProbeShapeExists(source, candidate.pred, candidate.id,
-                         /*exact=*/true, stats));
-    out->present = full;
-    ForEachChild(candidate.id, [&](IdTuple child) {
-      discovered->Discover(Shape(candidate.pred, std::move(child)));
-    });
-    return OkStatus();
-  };
-  // Shape inserts are associative and commutative (the caller sorts on
-  // extraction), so each depth's confirmed shapes are absorbed per-chunk on
-  // the pool into worker-private sets merged once at the end — nothing of
-  // the depth's tail runs serially between barriers.
-  std::vector<ShapeSet> local_shapes(threads);
-  const Status status = pool.RunParallelAbsorb(
-      std::move(seeds), expand,
-      [&](unsigned worker, std::span<const Shape> frontier,
-          std::span<Probe> outs) -> Status {
-        for (size_t i = 0; i < frontier.size(); ++i) {
-          if (outs[i].present) local_shapes[worker].insert(frontier[i]);
-        }
-        return OkStatus();
-      },
-      frontier_stats);
-  for (unsigned t = 0; t < threads; ++t) {
-    shapes->merge(local_shapes[t]);
-    source.stats().MergeFrom(local_stats[t]);
-  }
-  return status;
+// Folds one predicate's walk into the plan's totals.
+void AddWalkStats(const FrontierStats& walk, FrontierStats* total) {
+  total->depths = std::max(total->depths, walk.depths);
+  total->max_frontier = std::max(total->max_frontier, walk.max_frontier);
+  total->seeds_admitted += walk.seeds_admitted;
+  total->items_expanded += walk.items_expanded;
+  total->items_discovered += walk.items_discovered;
 }
 
 }  // namespace
@@ -158,14 +92,15 @@ const char* ShapeFinderModeName(ShapeFinderMode mode) {
   return "?";
 }
 
+unsigned EffectiveThreads(const FindShapesOptions& options) {
+  return options.mode == ShapeFinderMode::kExists
+             ? 1
+             : std::max(1u, options.threads);
+}
+
 StatusOr<std::vector<Shape>> FindShapes(const ShapeSource& source,
                                         const FindShapesOptions& options) {
-  // A caller-owned pool overrides the thread count — the plans dispatch on
-  // the threads that will actually run, and every plan returns the same
-  // set at any thread count, so sharing a pool never changes results.
-  const unsigned threads = options.pool != nullptr
-                               ? std::max(1u, options.pool->threads())
-                               : std::max(1u, options.threads);
+  const unsigned threads = EffectiveThreads(options);
   obs::TraceSpan find_span("storage", "find_shapes", "mode",
                            static_cast<int64_t>(options.mode), "threads",
                            static_cast<int64_t>(threads));
@@ -183,21 +118,21 @@ StatusOr<std::vector<Shape>> FindShapes(const ShapeSource& source,
   }
   const std::vector<PredId> preds = source.NonEmptyRelations();
   ShapeSet shapes;
-  Status status = OkStatus();
   if (options.mode == ShapeFinderMode::kScan) {
-    status = ScanShapes(source, preds, threads, options.pool, &shapes);
-  } else if (threads == 1) {
-    // The serial reference walk — the oracle the frontier-parallel plan is
-    // differentially tested against (tests/frontier_equivalence_test.cc).
+    CHASE_RETURN_IF_ERROR(ScanShapes(source, preds, threads, &shapes));
+  } else {
+    FrontierStats total;
+    Status status = OkStatus();
     for (PredId pred : preds) {
-      status = WalkShapesForPred(source, pred, &source.stats(), &shapes);
+      FrontierStats walk;
+      status = WalkShapesForPred(source, pred, &shapes, &walk);
+      AddWalkStats(walk, &total);
       if (!status.ok()) break;
     }
-  } else {
-    status = WalkShapesFrontier(source, preds, threads, options.pool,
-                                &shapes, options.frontier_stats);
+    total.worker_expanded.assign(1, total.items_expanded);
+    if (options.frontier_stats != nullptr) *options.frontier_stats = total;
+    CHASE_RETURN_IF_ERROR(status);
   }
-  CHASE_RETURN_IF_ERROR(status);
   return Sorted(std::move(shapes));
 }
 

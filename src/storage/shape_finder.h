@@ -12,14 +12,12 @@
 //    query of a shape fails, every coarser shape is pruned without touching
 //    the data.
 //
-// Both modes also run work-partitioned in parallel (`threads` > 1): scan
-// mode splits relations into row ranges of roughly equal estimated work and
-// unions per-thread shape sets; exists mode walks the shape lattices of all
-// predicates as one depth-synchronous frontier through chase::FrontierPool,
-// so the candidate shapes themselves — not whole predicates — are dealt to
-// workers and one high-arity predicate (a large lattice) cannot pin a
-// single worker. This works over both backends — including parallel
-// shape-finding over pager::DiskDatabase.
+// The scan mode runs work-partitioned in parallel (`threads` > 1): it
+// splits relations into row ranges of roughly equal tuple counts and
+// unions per-thread shape sets, over both backends — including
+// pager::DiskDatabase. The exists mode is serial at any `threads`: it walks
+// one predicate's lattice at a time, so consecutive probes scan the same
+// relation and its pages stay resident in the buffer pool.
 //
 // All mode × backend × thread combinations return the same sorted set; a
 // property test (tests/shape_source_test.cc) enforces this.
@@ -53,23 +51,19 @@ const char* ShapeFinderModeName(ShapeFinderMode mode);
 
 struct FindShapesOptions {
   ShapeFinderMode mode = ShapeFinderMode::kScan;
-  unsigned threads = 1;     // <= 1 runs serially
+  // Scan threads of the scan plan and the index build; <= 1 runs
+  // serially. The exists plan always runs serially (see EffectiveThreads).
+  unsigned threads = 1;
   unsigned index_shards = 0;  // kIndex only: shard count (0 = default)
-  // When non-null and the exists plan runs frontier-parallel (threads > 1),
-  // receives the engine's depth/expansion counters — per-worker expansion
-  // counts included, which is how bench/ablation_frontier_parallel.cc shows
-  // the lattice frontier itself being split across workers.
+  // When non-null, the exists plan's lattice walks fill it: depths and
+  // max_frontier are the maxima over the predicates' lattices, the other
+  // counters their sums.
   FrontierStats* frontier_stats = nullptr;
-  // When non-null, the parallel plans (scan chunks, the exists plan's
-  // frontier, the index build's scan) run on this caller-owned persistent
-  // WorkerPool — its thread count wins over `threads` — so one pool serves
-  // several phases of one algorithm (e.g. the whole IsChaseFiniteL check:
-  // FindShapes here plus the dynamic-simplification worklist, one spawn
-  // instead of two). Results are unchanged either way: every plan is
-  // deterministic in its effective thread count, and the returned set is
-  // thread-count-independent besides.
-  WorkerPool* pool = nullptr;
 };
+
+// The number of threads `options` actually runs on: 1 for the exists plan,
+// max(1, options.threads) for the scan and index plans.
+unsigned EffectiveThreads(const FindShapesOptions& options);
 
 // Mirrors one run's access-stats delta into the metrics registry on every
 // exit path. The source's stats are cumulative for its lifetime, so the

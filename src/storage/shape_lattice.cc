@@ -1,10 +1,11 @@
 #include "storage/shape_lattice.h"
 
-#include "logic/shape.h"
-
-#include <queue>
-#include <unordered_set>
 #include <vector>
+
+#include "base/status.h"
+#include "exec/frontier_pool.h"
+#include "logic/schema.h"
+#include "logic/shape.h"
 
 namespace chase {
 namespace storage {
@@ -36,26 +37,27 @@ void ForEachChild(const IdTuple& id,
   }
 }
 
-void WalkShapeLattice(
-    uint32_t arity,
-    const std::function<bool(const IdTuple&)>& relaxed_exists,
-    const std::function<bool(const IdTuple&)>& full_exists,
-    const std::function<void(const IdTuple&)>& emit) {
-  std::unordered_set<IdTuple, IdTupleHash> enqueued;
-  std::queue<IdTuple> frontier;
-  IdTuple all_distinct = AllDistinctIdTuple(arity);
-  frontier.push(all_distinct);
-  enqueued.insert(std::move(all_distinct));
-
-  while (!frontier.empty()) {
-    IdTuple id = std::move(frontier.front());
-    frontier.pop();
-    if (!relaxed_exists(id)) continue;
-    if (full_exists(id)) emit(id);
-    ForEachChild(id, [&](IdTuple child) {
-      if (enqueued.insert(child).second) frontier.push(std::move(child));
-    });
-  }
+Status WalkShapeLattice(
+    PredId pred, uint32_t arity,
+    const std::function<StatusOr<bool>(const IdTuple& id, bool exact)>&
+        exists,
+    const std::function<void(const Shape&)>& emit,
+    FrontierStats* stats) {
+  return ExpandFrontier<Shape, ShapeHash>(
+      {Shape(pred, AllDistinctIdTuple(arity))},
+      [&](const Shape& candidate, const auto& discover) -> Status {
+        CHASE_ASSIGN_OR_RETURN(const bool relaxed,
+                               exists(candidate.id, /*exact=*/false));
+        if (!relaxed) return OkStatus();  // prunes every coarser shape
+        CHASE_ASSIGN_OR_RETURN(const bool full,
+                               exists(candidate.id, /*exact=*/true));
+        if (full) emit(candidate);
+        ForEachChild(candidate.id, [&](IdTuple child) {
+          discover(Shape(pred, std::move(child)));
+        });
+        return OkStatus();
+      },
+      stats);
 }
 
 }  // namespace storage

@@ -13,21 +13,27 @@
 
 #include <functional>
 
+#include "base/status.h"
+#include "exec/frontier_pool.h"
+#include "logic/schema.h"
 #include "logic/shape.h"
 
 namespace chase {
 namespace storage {
 
-// Calls `emit(id)` for every id-tuple of length `arity` whose full query
-// succeeds, pruning via the relaxed query as described above. Serial; the
-// frontier-parallel exists plan in shape_finder.cc runs the same walk
-// depth-synchronously through chase::FrontierPool, sharing ForEachChild
-// below, and is property-tested equal to this reference.
-void WalkShapeLattice(
-    uint32_t arity,
-    const std::function<bool(const IdTuple&)>& relaxed_exists,
-    const std::function<bool(const IdTuple&)>& full_exists,
-    const std::function<void(const IdTuple&)>& emit);
+// Calls `emit(shape)` for every shape of `pred` (an id-tuple of length
+// `arity`) whose full query succeeds, pruning via the relaxed query as
+// described above. `exists(id, exact)` answers one query: the full one
+// when `exact` is set, the relaxed one otherwise. The walk runs serially
+// through chase::ExpandFrontier, one lattice depth at a time with each
+// depth in ascending order, and fills `stats` when it is non-null. The
+// first failed query ends the walk and its status is returned.
+[[nodiscard]] Status WalkShapeLattice(
+    PredId pred, uint32_t arity,
+    const std::function<StatusOr<bool>(const IdTuple& id, bool exact)>&
+        exists,
+    const std::function<void(const Shape&)>& emit,
+    FrontierStats* stats = nullptr);
 
 // Calls `child(c)` for each immediate coarsening of `id` — every id-tuple
 // obtained by merging two of its blocks. Distinct block pairs yield

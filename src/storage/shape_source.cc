@@ -64,10 +64,8 @@ struct Chunk {
 
 Status ParallelTupleScan(const ShapeSource& source,
                          const std::vector<PredId>& preds, unsigned threads,
-                         const ParallelTupleVisitor& visit,
-                         WorkerPool* pool) {
-  threads = pool != nullptr ? std::max(1u, pool->threads())
-                            : std::max(1u, threads);
+                         const ParallelTupleVisitor& visit) {
+  threads = std::max(1u, threads);
 
   // Chunks of roughly equal tuple counts, a few per thread.
   uint64_t total_rows = 0;
@@ -97,22 +95,7 @@ Status ParallelTupleScan(const ShapeSource& source,
           return true;
         });
   };
-  if (pool != nullptr) {
-    // A caller-owned persistent pool: chunks dealt through its barrier, no
-    // thread spawn on this call at all.
-    pool->ParallelFor(chunks.size(), scan_chunk);
-  } else if (threads == 1) {
-    for (size_t index = 0; index < chunks.size(); ++index) {
-      scan_chunk(0, index);
-    }
-  } else {
-    // Transient pool for this scan: same dynamic chunk dealing as the
-    // caller-owned path (scan_chunk skips work once its worker's status is
-    // bad, matching the old hand-rolled spawn's early exit), and thread
-    // creation stays inside the one sanctioned spawner.
-    WorkerPool scan_pool(threads);
-    scan_pool.ParallelFor(chunks.size(), scan_chunk);
-  }
+  ParallelFor(threads, chunks.size(), scan_chunk);
 
   for (unsigned t = 0; t < threads; ++t) {
     source.stats().tuples_scanned += scanned[t].value;
@@ -124,8 +107,7 @@ Status ParallelTupleScan(const ShapeSource& source,
 }
 
 StatusOr<bool> ProbeShapeExists(const ShapeSource& source, PredId pred,
-                                const IdTuple& id, bool exact,
-                                AccessStats* stats) {
+                                const IdTuple& id, bool exact) {
   if (id.size() > kMaxProbePositions) {
     return InvalidArgumentError(
         "shape probe arity " + std::to_string(id.size()) +
@@ -135,7 +117,8 @@ StatusOr<bool> ProbeShapeExists(const ShapeSource& source, PredId pred,
   uint32_t first[kMaxProbePositions];
   FirstOfBlock(id, first);
 
-  ++stats->exists_queries;
+  AccessStats& stats = source.stats();
+  ++stats.exists_queries;
   bool found = false;
   uint64_t scanned = 0;
   Status status =
@@ -147,7 +130,7 @@ StatusOr<bool> ProbeShapeExists(const ShapeSource& source, PredId pred,
         }
         return true;
       });
-  stats->tuples_scanned += scanned;
+  stats.tuples_scanned += scanned;
   CHASE_RETURN_IF_ERROR(status);
   return found;
 }

@@ -30,9 +30,6 @@
 #include "storage/catalog.h"
 
 namespace chase {
-
-class WorkerPool;
-
 namespace storage {
 
 // Physical I/O performed by a backend. The in-memory row store does no I/O
@@ -44,6 +41,9 @@ struct IoCounters {
   uint64_t pages_written = 0;
   uint64_t pool_hits = 0;
   uint64_t pool_misses = 0;
+  // Pages read twice because two concurrent misses on one page both read
+  // it (BufferPoolStats::duplicate_reads).
+  uint64_t duplicate_reads = 0;
 
   // The delta against an earlier snapshot of the same store — how benches
   // and the CLI meter one run out of the cumulative totals.
@@ -53,6 +53,7 @@ struct IoCounters {
     delta.pages_written = pages_written - before.pages_written;
     delta.pool_hits = pool_hits - before.pool_hits;
     delta.pool_misses = pool_misses - before.pool_misses;
+    delta.duplicate_reads = duplicate_reads - before.duplicate_reads;
     return delta;
   }
 };
@@ -108,34 +109,26 @@ class ShapeSource {
 // Meters one relation load per predicate and every scanned tuple into
 // source.stats() — the scan-plan FindShapes convention. This is the one
 // scan driver behind both the scan-mode shape finder and the sharded-index
-// build.
-//
-// When `pool` is non-null the chunks run on that caller-owned persistent
-// WorkerPool instead of a per-call transient one (its thread count wins
-// over `threads`), so a caller running several parallel phases — FindShapes
-// plus a simplification worklist, say — pays one thread spawn for all of
-// them. The visit contract is unchanged: thread ids stay in [0, threads).
+// build. The chunks are dealt through chase::ParallelFor, which spawns the
+// workers for this call.
 using ParallelTupleVisitor =
     std::function<void(unsigned thread, PredId pred,
                        std::span<const uint32_t> tuple)>;
 [[nodiscard]] Status ParallelTupleScan(const ShapeSource& source,
                          const std::vector<PredId>& preds, unsigned threads,
-                         const ParallelTupleVisitor& visit,
-                         WorkerPool* pool = nullptr);
+                         const ParallelTupleVisitor& visit);
 
 // The early-exit shape-existence probe both query plans of Section 5.4
 // compile to. With `exact` set it answers the full EXISTS query (equalities
 // and disequalities: some tuple has exactly this id-tuple); without it, the
 // relaxed query (equalities only: some tuple is coarser than or equal to
-// `id`). Meters one exists query plus the visited tuples into `stats`
-// (pass the source's own stats for the serial path, a thread-local copy for
-// parallel walkers). Fails with kInvalidArgument if `id` is longer than
+// `id`). Meters one exists query plus the visited tuples into
+// source.stats(). Fails with kInvalidArgument if `id` is longer than
 // Schema::kMaxArity positions (the compiled condition uses fixed-width
 // scratch; schemas loaded through logic::Schema can never exceed it).
 [[nodiscard]]
 StatusOr<bool> ProbeShapeExists(const ShapeSource& source, PredId pred,
-                                const IdTuple& id, bool exact,
-                                AccessStats* stats);
+                                const IdTuple& id, bool exact);
 
 // In-memory backend: the row store behind storage::Catalog. Shares the
 // catalog's AccessStats, so existing benches keep reading their counters

@@ -34,6 +34,24 @@ int RunChasectl(const std::string& args) {
   return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
 }
 
+// Runs `chasectl <args>` and returns its stdout; the exit code must be 0.
+std::string ChasectlOutput(const std::string& args) {
+  const std::string command =
+      std::string(CHASECTL_PATH) + " " + args + " 2>/dev/null";
+  std::string out;
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) {
+    ADD_FAILURE() << "cannot run: " << args;
+    return out;
+  }
+  char buffer[512];
+  size_t n = 0;
+  while ((n = fread(buffer, 1, sizeof(buffer), pipe)) > 0) out.append(buffer, n);
+  const int raw = pclose(pipe);
+  EXPECT_TRUE(WIFEXITED(raw) && WEXITSTATUS(raw) == 0) << args;
+  return out;
+}
+
 class ChasectlCliTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -108,6 +126,28 @@ TEST_F(ChasectlCliTest, WellFormedFlagsStillRun) {
             0);
   EXPECT_EQ(RunChasectl("check " + program_path_ + " --mode=l --threads=2"),
             0);
+}
+
+TEST_F(ChasectlCliTest, SummariesReportTheThreadsThatRan) {
+  // The exists plan walks its lattices serially at any --threads, so the
+  // summaries report 1 for it; the scan plan runs the requested count.
+  const std::string file = program_path_;
+  EXPECT_NE(ChasectlOutput("findshapes " + file + " --mode=exists --threads=4")
+                .find("plan: exists, threads: 1\n"),
+            std::string::npos);
+  EXPECT_NE(ChasectlOutput("findshapes " + file +
+                           " --backend=disk --mode=exists --threads=4")
+                .find("plan: exists, threads: 1\n"),
+            std::string::npos);
+  EXPECT_NE(ChasectlOutput("findshapes " + file + " --mode=scan --threads=4")
+                .find("plan: scan, threads: 4\n"),
+            std::string::npos);
+  EXPECT_NE(ChasectlOutput("simplify " + file + " --mode=exists --threads=4")
+                .find("(exists plan, 1 thread(s), "),
+            std::string::npos);
+  EXPECT_NE(ChasectlOutput("simplify " + file + " --mode=scan --threads=4")
+                .find("(scan plan, 4 thread(s), "),
+            std::string::npos);
 }
 
 TEST_F(ChasectlCliTest, UnknownEnumValuesExitTwo) {

@@ -161,7 +161,7 @@ TEST(DynamicSimplificationTest, CanonicalTgdOrder) {
   // Regression pin for the canonical emission order documented on
   // DynamicSimplificationResult: depth-grouped (database shapes first),
   // body shape ascending in (pred, id) within a depth, rule index ascending
-  // per shape, duplicates kept — identical for every thread count. The old
+  // per shape, duplicates kept — identical for both shape plans. The old
   // worklist emitted in nondeterministic-looking pop order instead.
   Program p = MustParse(R"(
     r(a,b). r(c,c).
@@ -179,15 +179,15 @@ TEST(DynamicSimplificationTest, CanonicalTgdOrder) {
       "s_[1,1](X0) -> t_[1](X0).",
       "s_[1,2](X0,X1) -> t_[1](X0).",
   };
-  for (unsigned threads : {1u, 4u}) {
-    auto dynamic = DynamicSimplification(
-        *p.database, p.tgds, storage::ShapeFinderMode::kScan, threads);
+  for (storage::ShapeFinderMode mode :
+       {storage::ShapeFinderMode::kScan, storage::ShapeFinderMode::kExists}) {
+    auto dynamic = DynamicSimplification(*p.database, p.tgds, mode);
     ASSERT_TRUE(dynamic.ok()) << dynamic.status();
     std::vector<std::string> got;
     for (const Tgd& tgd : dynamic->tgds) {
       got.push_back(ToString(dynamic->shape_schema->schema(), tgd));
     }
-    EXPECT_EQ(got, expected) << "threads " << threads;
+    EXPECT_EQ(got, expected) << storage::ShapeFinderModeName(mode);
     EXPECT_EQ(dynamic->num_initial_shapes, 2u);
     // r_[1,1], r_[1,2], s_[1,1], s_[1,2], t_[1].
     EXPECT_EQ(dynamic->num_derived_shapes, 5u);

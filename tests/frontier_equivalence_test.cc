@@ -1,18 +1,12 @@
-// Differential harness for the frontier-parallel engines: "parallel must
-// equal serial" is the whole correctness contract of the depth-synchronous
-// FrontierPool, so every consumer is swept against its serial oracle on
-// seeded random workloads —
+// Differential harness for the shape plans and the frontier consumers. On
+// seeded random workloads, the exists and index plans at {1, 2, 4, 8}
+// requested threads over {memory, disk} backends must return the
+// bit-identical sorted shape(D) the per-predicate lattice walk returns.
 //
-//  * the EXISTS shape plan: {1, 2, 4, 8} threads x {memory, disk, index}
-//    backends must return the bit-identical sorted shape(D) the serial
-//    per-predicate lattice walk returns;
-//  * dynamic simplification: every thread count must emit the bit-identical
-//    canonical simplified-TGD list (same TGDs, same order, same interned
-//    shape-schema predicates) and the same initial/derived shape counts;
-//
-// Plus the EXISTS-probe edge cases the frontier split exposes: empty
-// relations, arity-1 predicates (trivial lattices), duplicate database
-// shapes in the seed frontier, and more threads than frontier items.
+// Plus the EXISTS-probe edge cases of the lattice walk and the worklist:
+// empty relations, arity-1 predicates (trivial lattices), duplicate
+// database shapes in the seed frontier, and more requested threads than
+// frontier items.
 //
 // The chase's checkpoint/restart protocol rides the same kind of
 // contract: a chase checkpointed at ANY round boundary and resumed must
@@ -31,7 +25,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -75,20 +68,6 @@ GeneratedData MakeRandomData(Rng* rng) {
   auto data = GenerateData(params);
   EXPECT_TRUE(data.ok()) << data.status();
   return std::move(data).value();
-}
-
-std::vector<Tgd> MakeLinearTgds(const Schema& schema, uint64_t seed,
-                                uint64_t count) {
-  TgdGenParams params;
-  params.ssize = schema.NumPredicates();
-  params.min_arity = 1;
-  params.max_arity = 8;
-  params.tsize = count;
-  params.tclass = TgdClass::kLinear;
-  params.seed = seed;
-  auto tgds = GenerateTgds(schema, params);
-  EXPECT_TRUE(tgds.ok()) << tgds.status();
-  return std::move(tgds).value();
 }
 
 // Bit-identical simplification results: same TGD list (contents and order),
@@ -139,63 +118,14 @@ TEST(FrontierEquivalenceTest, ExistsPlanMatchesSerialOracle) {
               << "trial " << trial << ", backend " << source->Name()
               << ", mode " << storage::ShapeFinderModeName(mode)
               << ", threads " << threads;
-          if (mode == ShapeFinderMode::kExists && threads > 1) {
-            // The frontier engine ran: its counters must reconcile.
-            EXPECT_EQ(stats.worker_expanded.size(), threads);
-            EXPECT_EQ(std::accumulate(stats.worker_expanded.begin(),
-                                      stats.worker_expanded.end(),
-                                      uint64_t{0}),
-                      stats.items_expanded);
+          if (mode == ShapeFinderMode::kExists) {
+            // The lattice walks ran serially: their counters must
+            // reconcile.
+            ASSERT_EQ(stats.worker_expanded.size(), 1u);
+            EXPECT_EQ(stats.worker_expanded[0], stats.items_expanded);
             EXPECT_EQ(stats.items_expanded,
                       stats.seeds_admitted + stats.items_discovered);
           }
-        }
-      }
-    }
-    std::remove(path.c_str());
-  }
-}
-
-TEST(FrontierEquivalenceTest, DynamicSimplificationMatchesSerialOracle) {
-  Rng rng(424243);
-  for (int trial = 0; trial < 6; ++trial) {
-    GeneratedData data = MakeRandomData(&rng);
-    std::vector<Tgd> tgds =
-        MakeLinearTgds(*data.schema, rng.Next(), 20 + rng.Below(40));
-    storage::Catalog catalog(data.database.get());
-    storage::MemoryShapeSource memory(&catalog);
-
-    const std::string path = TempPath("chase_frontier_equiv_simp_" +
-                                      std::to_string(trial) + ".db");
-    auto disk_db = pager::DiskDatabase::Create(path, *data.database,
-                                               /*num_frames=*/16);
-    ASSERT_TRUE(disk_db.ok()) << disk_db.status();
-    pager::DiskShapeSource disk(disk_db->get());
-
-    // The serial oracle: serial shape finding + inline worklist.
-    auto oracle_shapes = index::FindShapes(memory, {ShapeFinderMode::kExists, 1});
-    ASSERT_TRUE(oracle_shapes.ok()) << oracle_shapes.status();
-    auto oracle = DynamicSimplificationFromShapes(*data.schema, tgds,
-                                                  *oracle_shapes, 1);
-    ASSERT_TRUE(oracle.ok()) << oracle.status();
-
-    for (const storage::ShapeSource* source :
-         {static_cast<const storage::ShapeSource*>(&memory),
-          static_cast<const storage::ShapeSource*>(&disk)}) {
-      for (ShapeFinderMode mode :
-           {ShapeFinderMode::kExists, ShapeFinderMode::kIndex}) {
-        for (unsigned threads : kThreadSweep) {
-          auto shapes = index::FindShapes(*source, {mode, threads});
-          ASSERT_TRUE(shapes.ok()) << shapes.status();
-          auto parallel = DynamicSimplificationFromShapes(*data.schema, tgds,
-                                                          *shapes, threads);
-          ASSERT_TRUE(parallel.ok()) << parallel.status();
-          ExpectIdenticalSimplification(
-              *oracle, *parallel,
-              "trial " + std::to_string(trial) + ", backend " +
-                  source->Name() + ", mode " +
-                  storage::ShapeFinderModeName(mode) + ", threads " +
-                  std::to_string(threads));
         }
       }
     }
@@ -309,33 +239,12 @@ TEST(FrontierEquivalenceTest, RestrictedChaseSkipsSatisfiedTriggers) {
   EXPECT_EQ(result->instance.NumAtoms(), 6u);
 }
 
-TEST(FrontierEquivalenceTest, ParallelAbsorbMatchesSerialAbsorbSweep) {
-  // The exists plan's parallel absorb must never change shape(D): sweep it
-  // against the serial walk (threads == 1), which absorbs in lattice order.
-  Rng rng(515151);
-  for (int trial = 0; trial < 4; ++trial) {
-    GeneratedData data = MakeRandomData(&rng);
-    storage::Catalog catalog(data.database.get());
-    storage::MemoryShapeSource memory(&catalog);
-    auto oracle = index::FindShapes(memory, {ShapeFinderMode::kExists, 1});
-    ASSERT_TRUE(oracle.ok()) << oracle.status();
-    for (unsigned threads : kThreadSweep) {
-      auto shapes =
-          index::FindShapes(memory, {ShapeFinderMode::kExists, threads});
-      ASSERT_TRUE(shapes.ok()) << shapes.status();
-      EXPECT_EQ(*shapes, *oracle)
-          << "trial " << trial << ", threads " << threads;
-    }
-  }
-}
-
 // --------------------------------------------------------------------------
-// EXISTS-probe edge cases the frontier split exposes.
+// EXISTS-probe and worklist edge cases.
 
 TEST(FrontierEquivalenceTest, EmptyRelationsNeverEnterTheFrontier) {
-  // Two populated relations, one empty: the seed frontier must only hold
-  // the non-empty ones (the catalog query filters), and the parallel plans
-  // must agree with the serial oracle.
+  // Two populated relations, one empty: only the non-empty ones are walked
+  // (the catalog query filters), at every requested thread count.
   auto program = ParseProgram("r(a,b). r(c,c). s(a). t(X,Y) -> r(X,Y).");
   ASSERT_TRUE(program.ok()) << program.status();
   storage::Catalog catalog(program->database.get());
@@ -349,9 +258,7 @@ TEST(FrontierEquivalenceTest, EmptyRelationsNeverEnterTheFrontier) {
     auto shapes = index::FindShapes(memory, options);
     ASSERT_TRUE(shapes.ok()) << shapes.status();
     EXPECT_EQ(*shapes, *oracle) << "threads " << threads;
-    if (threads > 1) {
-      EXPECT_EQ(stats.seeds_admitted, 2u);  // r and s; t is empty
-    }
+    EXPECT_EQ(stats.seeds_admitted, 2u);  // r and s; t is empty
   }
 }
 
@@ -390,30 +297,27 @@ TEST(FrontierEquivalenceTest, DuplicateSeedShapesAreDeduplicated) {
   auto shapes = index::FindShapes(memory, {ShapeFinderMode::kScan, 1});
   ASSERT_TRUE(shapes.ok()) << shapes.status();
 
-  // Seed the worklist with every database shape three times over: the seen
-  // filter must admit each exactly once, for any thread count.
+  // Seed the worklist with every database shape three times over, in
+  // reverse: the seen filter must admit each exactly once, and the result
+  // must not depend on the seed order.
   std::vector<Shape> duplicated;
   for (int copy = 0; copy < 3; ++copy) {
-    duplicated.insert(duplicated.end(), shapes->begin(), shapes->end());
+    duplicated.insert(duplicated.end(), shapes->rbegin(), shapes->rend());
   }
-  auto oracle = DynamicSimplificationFromShapes(
-      *program->schema, program->tgds, *shapes, 1);
+  auto oracle = DynamicSimplificationFromShapes(*program->schema,
+                                                program->tgds, *shapes);
   ASSERT_TRUE(oracle.ok()) << oracle.status();
-  for (unsigned threads : kThreadSweep) {
-    auto result = DynamicSimplificationFromShapes(
-        *program->schema, program->tgds, duplicated, threads);
-    ASSERT_TRUE(result.ok()) << result.status();
-    ExpectIdenticalSimplification(
-        *oracle, *result, "duplicated seeds, threads " +
-                              std::to_string(threads));
-    EXPECT_EQ(result->num_initial_shapes, shapes->size());
-  }
+  auto result = DynamicSimplificationFromShapes(*program->schema,
+                                                program->tgds, duplicated);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ExpectIdenticalSimplification(*oracle, *result, "duplicated seeds");
+  EXPECT_EQ(result->num_initial_shapes, shapes->size());
 }
 
 TEST(FrontierEquivalenceTest, MoreThreadsThanFrontierItems) {
-  // One arity-2 predicate: the seed frontier is a single item, far fewer
-  // than the workers. The pool must neither deadlock nor miss work, and
-  // every thread count must agree.
+  // One arity-2 predicate: the lattice walk starts from a single item, far
+  // fewer than the 16 requested threads. The exists plan runs it serially
+  // and must agree with the oracle.
   auto program = ParseProgram("r(a,b). r(a,a).");
   ASSERT_TRUE(program.ok()) << program.status();
   storage::Catalog catalog(program->database.get());
@@ -427,7 +331,7 @@ TEST(FrontierEquivalenceTest, MoreThreadsThanFrontierItems) {
   auto shapes = index::FindShapes(memory, options);
   ASSERT_TRUE(shapes.ok()) << shapes.status();
   EXPECT_EQ(*shapes, *oracle);
-  EXPECT_EQ(stats.worker_expanded.size(), 16u);
+  EXPECT_EQ(stats.worker_expanded.size(), 1u);
   EXPECT_EQ(stats.seeds_admitted, 1u);
   EXPECT_EQ(stats.items_expanded, 2u);  // [1,2] then its child [1,1]
   EXPECT_EQ(stats.depths, 2u);
@@ -544,8 +448,8 @@ TEST(FrontierEquivalenceTest, CheckpointResumeSweepMatchesUninterruptedRun) {
 }
 
 TEST(FrontierEquivalenceTest, MeteringTotalsAreThreadCountIndependent) {
-  // The frontier split changes which worker issues which probe, never the
-  // probe set: logical access totals must match the serial walk exactly.
+  // The requested thread count never changes the probe set: logical
+  // access totals must match the 1-thread walk exactly.
   Rng rng(991);
   GeneratedData data = MakeRandomData(&rng);
   storage::Catalog catalog(data.database.get());

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "base/rng.h"
-#include "chase/body_partition.h"
 #include "chase/chase_engine.h"
 #include "chase/instance.h"
 #include "chase/join_cursor.h"

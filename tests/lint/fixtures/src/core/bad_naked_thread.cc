@@ -6,7 +6,7 @@
 namespace fixture {
 
 void FanOut(int n) {
-  std::vector<std::thread> workers;  // BAD: spawn outside WorkerPool
+  std::vector<std::thread> workers;  // BAD: spawn outside ParallelFor
   for (int i = 0; i < n; ++i) {
     workers.emplace_back([] {});
   }

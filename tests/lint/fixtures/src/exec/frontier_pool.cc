@@ -6,7 +6,7 @@
 namespace fixture {
 
 struct Pool {
-  std::vector<std::thread> workers;  // fine: this IS the WorkerPool home
+  std::vector<std::thread> workers;  // fine: this IS the ParallelFor home
 };
 
 }  // namespace fixture

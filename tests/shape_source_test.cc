@@ -172,15 +172,12 @@ TEST(ShapeSourceTest, ProbeRejectsOversizedIdTuplesInsteadOfSmashing) {
   storage::MemoryShapeSource memory(&catalog);
 
   IdTuple oversized(Schema::kMaxArity + 10, 1);
-  storage::AccessStats stats;
-  auto probe =
-      storage::ProbeShapeExists(memory, *pred, oversized, false, &stats);
+  auto probe = storage::ProbeShapeExists(memory, *pred, oversized, false);
   EXPECT_EQ(probe.status().code(), StatusCode::kInvalidArgument);
 
   // A maximal legal id-tuple stays accepted (no witness, but no error).
   IdTuple maximal(Schema::kMaxArity, 1);
-  auto legal =
-      storage::ProbeShapeExists(memory, *pred, maximal, true, &stats);
+  auto legal = storage::ProbeShapeExists(memory, *pred, maximal, true);
   ASSERT_TRUE(legal.ok()) << legal.status();
   EXPECT_FALSE(legal.value());
 }

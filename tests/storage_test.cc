@@ -34,8 +34,7 @@ std::vector<Shape> FindShapes(const Catalog& catalog, ShapeFinderMode mode,
 bool Exists(const Catalog& catalog, PredId pred, const IdTuple& id,
             bool exact) {
   storage::MemoryShapeSource source(&catalog);
-  auto found =
-      storage::ProbeShapeExists(source, pred, id, exact, &source.stats());
+  auto found = storage::ProbeShapeExists(source, pred, id, exact);
   EXPECT_TRUE(found.ok()) << found.status();
   return found.ok() && *found;
 }

@@ -8,8 +8,7 @@
 //               [--progress[=SECS]] [--metrics-interval=SECS] [--print]
 //   simplify <file> [--mode=scan|exists|index] [--threads=N] [--print]
 //                                                  simple_D(Σ) via the
-//                                                  frontier-parallel
-//                                                  worklist
+//                                                  shape worklist
 //   query <file> "<q(X) :- ...>"                   certain answers
 //   findshapes <file> [--backend=memory|disk|index]
 //              [--mode=scan|exists|index] [--threads=N]
@@ -595,15 +594,16 @@ int CmdSimplify(const Args& args) {
 
   storage::Catalog catalog(program->database.get());
   storage::MemoryShapeSource source(&catalog);
+  const storage::FindShapesOptions find_options{.mode = finder_mode,
+                                                .threads = threads};
   Timer timer;
-  auto shapes = index::FindShapes(
-      source, {.mode = finder_mode, .threads = threads});
+  auto shapes = index::FindShapes(source, find_options);
   if (!shapes.ok()) return Fail(shapes.status());
   const double shapes_ms = timer.ElapsedMillis();
 
   timer.Restart();
   auto simplified = DynamicSimplificationFromShapes(
-      program->database->schema(), program->tgds, *shapes, threads);
+      program->database->schema(), program->tgds, *shapes);
   if (!simplified.ok()) return Fail(simplified.status());
   const double simplify_ms = timer.ElapsedMillis();
 
@@ -612,7 +612,8 @@ int CmdSimplify(const Args& args) {
             << program->tgds.size() << " rule(s)\n"
             << "  t-shapes:   " << shapes_ms << " ms ("
             << storage::ShapeFinderModeName(finder_mode) << " plan, "
-            << threads << " thread(s), " << shapes->size()
+            << storage::EffectiveThreads(find_options) << " thread(s), "
+            << shapes->size()
             << " db shapes)\n"
             << "  t-simplify: " << simplify_ms << " ms ("
             << simplified->num_initial_shapes << " initial shapes, "
@@ -800,7 +801,7 @@ int CmdFindShapes(const Args& args) {
             << program->database->TotalFacts() << " tuples\n"
             << "  backend: " << source->Name() << ", plan: "
             << storage::ShapeFinderModeName(options.mode)
-            << ", threads: " << std::max(1u, options.threads) << "\n"
+            << ", threads: " << storage::EffectiveThreads(options) << "\n"
             << "  t-shapes: " << elapsed_ms << " ms\n"
             << "  accesses: " << access.exists_queries << " exists queries, "
             << access.relations_loaded << " relation loads, "

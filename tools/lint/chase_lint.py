@@ -26,9 +26,10 @@ patterns that protect it, on every file, in CI:
                    ParseU64Flag: strtoull + errno + end-pointer checks).
 
   naked-thread     std::thread creation outside the sanctioned spawners
-                   (WorkerPool in src/exec/frontier_pool,
+                   (ParallelFor in src/exec/frontier_pool,
                    PeriodicTicker in src/obs/progress).
-                   One pool, one reporter tick — nothing else spawns.
+                   One scan fan-out, one reporter tick — nothing else
+                   spawns.
 
   envelope-io      Binary envelope magics ("CHBN", "CHSI", "CHCK") outside
                    src/io/binary_io.{h,cc}. Envelope bytes are written only
@@ -356,8 +357,8 @@ class FileLinter:
                 self.report(
                     i, "naked-thread",
                     "std::thread outside the sanctioned spawners "
-                    "(WorkerPool, obs::PeriodicTicker); "
-                    "run work on a WorkerPool")
+                    "(ParallelFor, obs::PeriodicTicker); "
+                    "run work through chase::ParallelFor")
 
     def check_envelope_io(self):
         if self.relpath in ENVELOPE_HOME:
